@@ -7,7 +7,7 @@
 //   1. Placement ablation per scheme — rename a deep and a top-level
 //      directory, re-derive every scheme's placement, count records that
 //      changed owner. D2-Tree must move zero.
-//   2. The transactional path (DESIGN.md §8) — drive the journaled
+//   2. The transactional path (DESIGN.md §7) — drive the journaled
 //      rename transaction on a live FunctionalCluster, in place and
 //      cross-server, and report wall/simulated latency and the records a
 //      cross-server re-home actually transfers. This is the half the

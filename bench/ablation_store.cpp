@@ -1,4 +1,4 @@
-// Store-engine ablation (DESIGN.md §11): what the embedded LSM backend
+// Store-engine ablation (DESIGN.md §10): what the embedded LSM backend
 // costs on the basic record ops, and what sealed-table shipping buys on
 // the bulk path.
 //
@@ -104,7 +104,7 @@ bool StoresEqual(MetadataStore& a, MetadataStore& b) {
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : nullptr;
   bench::PrintHeader("Ablation — store engine & sealed-table handoff",
-                     "the DESIGN.md §11 storage layer (no paper figure)");
+                     "the DESIGN.md §10 storage layer (no paper figure)");
 
   std::string scratch = std::filesystem::temp_directory_path() /
                         ("d2t_bench_store_" + std::to_string(::getpid()) +

@@ -1,7 +1,9 @@
 // Crash-recovery smoke: trip a crash at every named site (torn and intact
-// WAL tails), Recover(), and report recovery wall time percentiles plus
-// WAL replay volume against the subtree count as JSON — the CI artifact
-// (BENCH_recovery.json) that tracks recovery cost over time.
+// WAL tails) — each transaction site through both drivers, the
+// adjustment round's migration and a cross-server rename — Recover(), and
+// report recovery wall time percentiles plus WAL replay volume against the
+// subtree count as JSON — the CI artifact (BENCH_recovery.json) that
+// tracks recovery cost over time.
 //
 //   example_crash_recovery [output.json] [reps]
 //
@@ -12,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 
@@ -37,6 +40,40 @@ MdsId VictimWithSubtrees(const FunctionalCluster& cluster) {
   return -1;
 }
 
+enum class Driver { kRound, kGlUpdate, kRename };
+
+/// One (site, driver) pair the smoke trips, in run order: every
+/// transaction site through the adjustment round, the GL site through a
+/// GL update, then every transaction site through a rename.
+struct Drive {
+  CrashSite site;
+  Driver driver;
+};
+constexpr Drive kDrives[] = {
+    {CrashSite::kAfterIntent, Driver::kRound},
+    {CrashSite::kAfterPrepare, Driver::kRound},
+    {CrashSite::kAfterApply, Driver::kRound},
+    {CrashSite::kAfterCommit, Driver::kRound},
+    {CrashSite::kAfterGlBump, Driver::kGlUpdate},
+    {CrashSite::kAfterIntent, Driver::kRename},
+    {CrashSite::kAfterPrepare, Driver::kRename},
+    {CrashSite::kAfterApply, Driver::kRename},
+    {CrashSite::kAfterCommit, Driver::kRename},
+};
+constexpr std::size_t kDriveCount = std::size(kDrives);
+
+const char* DriverName(Driver driver) {
+  switch (driver) {
+    case Driver::kRound:
+      return "round";
+    case Driver::kGlUpdate:
+      return "gl-update";
+    case Driver::kRename:
+      return "rename";
+  }
+  return "?";
+}
+
 struct SiteTally {
   std::size_t recoveries = 0;
   std::size_t rolled_forward = 0;
@@ -55,7 +92,7 @@ int main(int argc, char** argv) {
 
   const Workload w = GenerateWorkload(DtrProfile(0.05));
   LatencyHistogram recovery_wall_us;
-  SiteTally per_site[kCrashSiteCount];
+  SiteTally per_drive[kDriveCount];
   std::size_t replayed_min = SIZE_MAX, replayed_max = 0, replayed_sum = 0;
   std::size_t recoveries = 0;
   std::size_t subtree_count = 0;
@@ -71,21 +108,20 @@ int main(int argc, char** argv) {
     for (NodeId id = 0; id < w.tree.size(); id += 3)
       cluster.Stat(w.tree.PathOf(id));
 
-    for (std::size_t s = 0; s < kCrashSiteCount; ++s) {
-      const auto site = static_cast<CrashSite>(s);
-      const bool rename_site = s >= kFirstRenameCrashSite;
+    for (std::size_t d = 0; d < kDriveCount; ++d) {
+      const CrashSite site = kDrives[d].site;
+      const Driver driver = kDrives[d].driver;
       for (const bool torn : {false, true}) {
         MdsId victim = -1;
         NodeId rn_root = kInvalidNode;
         std::string rn_prefix, rn_name;
-        if (site != CrashSite::kAfterGlBump && !rename_site) {
+        if (driver == Driver::kRound) {
           victim = VictimWithSubtrees(cluster);
           if (victim < 0) continue;
         }
-        if (rename_site) {
-          // Rename protocol sites are reached through the rename
-          // transaction, not the adjustment round: re-home some subtree
-          // whose owner is alive to another alive server. Subtree-root
+        if (driver == Driver::kRename) {
+          // The rename driver: re-home some subtree whose owner is alive
+          // to another alive server. Subtree-root
           // component names drift as renames commit, so resolve through
           // the tracker; the GL prefix above a root never changes here.
           const auto owners = cluster.scheme().subtree_owners();
@@ -115,7 +151,7 @@ int main(int argc, char** argv) {
           cluster.RenameTo(path, rn_name, dst);
         } else {
           cluster.ArmCrash(site, torn);
-          if (site == CrashSite::kAfterGlBump) {
+          if (driver == Driver::kGlUpdate) {
             cluster.Update("/", ++mtime);
           } else {
             cluster.SetHeartbeatSuppressed(victim, true);
@@ -123,7 +159,8 @@ int main(int argc, char** argv) {
           }
         }
         if (!cluster.crashed()) {
-          std::fprintf(stderr, "site %s never tripped\n", CrashSiteName(site));
+          std::fprintf(stderr, "site %s (%s) never tripped\n",
+                       CrashSiteName(site), DriverName(driver));
           all_clean = false;
           continue;
         }
@@ -140,12 +177,10 @@ int main(int argc, char** argv) {
 
         recovery_wall_us.Record(wall_us);
         ++recoveries;
-        SiteTally& tally = per_site[s];
+        SiteTally& tally = per_drive[d];
         ++tally.recoveries;
-        tally.rolled_forward +=
-            recovery.migrations_rolled_forward + recovery.renames_rolled_forward;
-        tally.rolled_back +=
-            recovery.migrations_rolled_back + recovery.renames_rolled_back;
+        tally.rolled_forward += recovery.txns_rolled_forward;
+        tally.rolled_back += recovery.txns_rolled_back;
         tally.torn_tails += recovery.torn_tail_detected ? 1 : 0;
         if (rn_root != kInvalidNode &&
             cluster.Stat(rn_prefix + rn_name).status == MdsStatus::kOk) {
@@ -157,8 +192,9 @@ int main(int argc, char** argv) {
 
         const FsckReport fsck = FsckCluster(cluster);
         if (!fsck.clean()) {
-          std::fprintf(stderr, "d2fsck UNCLEAN after %s%s:\n%s",
-                       CrashSiteName(site), torn ? " (torn)" : "",
+          std::fprintf(stderr, "d2fsck UNCLEAN after %s (%s)%s:\n%s",
+                       CrashSiteName(site), DriverName(driver),
+                       torn ? " (torn)" : "",
                        FormatFsckReport(fsck).c_str());
           all_clean = false;
         }
@@ -189,15 +225,16 @@ int main(int argc, char** argv) {
       replayed_max, all_clean ? "true" : "false");
   json += buf;
   json += "  \"per_site\": [\n";
-  for (std::size_t s = 0; s < kCrashSiteCount; ++s) {
+  for (std::size_t d = 0; d < kDriveCount; ++d) {
+    const SiteTally& tally = per_drive[d];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"site\": \"%s\", \"recoveries\": %zu, "
+                  "    {\"site\": \"%s/%s\", \"recoveries\": %zu, "
                   "\"rolled_forward\": %zu, \"rolled_back\": %zu, "
                   "\"torn_tails\": %zu}%s\n",
-                  CrashSiteName(static_cast<CrashSite>(s)),
-                  per_site[s].recoveries, per_site[s].rolled_forward,
-                  per_site[s].rolled_back, per_site[s].torn_tails,
-                  s + 1 == kCrashSiteCount ? "" : ",");
+                  CrashSiteName(kDrives[d].site),
+                  DriverName(kDrives[d].driver), tally.recoveries,
+                  tally.rolled_forward, tally.rolled_back, tally.torn_tails,
+                  d + 1 == kDriveCount ? "" : ",");
     json += buf;
   }
   json += "  ]\n}\n";

@@ -5,11 +5,11 @@
 #   example_simnet_latency   — per-op-class latency percentiles over the
 #                              simulated wire, with a seeded fault storm
 #   example_crash_recovery   — recovery wall time + WAL replay volume over
-#                              every crash site (migration AND rename)
+#                              every crash site through each driver
 #   ablation_rename          — per-scheme rename placement cost and the
-#                              transactional rename path (DESIGN.md §8)
+#                              transactional rename path (DESIGN.md §7)
 #   ablation_store           — store-engine micro ops and the million-
-#                              record sealed-table handoff (DESIGN.md §11)
+#                              record sealed-table handoff (DESIGN.md §10)
 #
 # plus one real-process section: scripts/socket_bench.sh boots monitor +
 # 3 mdsd over TCP loopback and replays the same mix through d2bench-client

@@ -40,7 +40,7 @@ RouteDecision DecideRoute(const NamespaceTree& tree, const LocalIndex& index,
 MdsId ChooseEntry(const RouteDecision& route, std::size_t mds_count,
                   double stale_prob, Rng& rng);
 
-/// The parties of a rename transaction (DESIGN.md §8), derived from the
+/// The parties of a rename transaction (DESIGN.md §7), derived from the
 /// same cached local index the access logic walks.
 struct RenameRoute {
   /// Owner of the covering local-layer subtree; nullopt = GL-resident,

@@ -1,33 +1,30 @@
-// Named crash sites of the two-phase subtree handoff (DESIGN.md §7).
+// Named crash sites of the subtree-transfer transaction (DESIGN.md §7).
 //
-// The migration protocol journals INTENT → PREPARE → COMMIT records to the
-// Monitor's write-ahead log; each named site below sits *between* two of
-// those durable steps, so arming a crash there (FaultKind::kCrashAtSite,
-// or FunctionalCluster::ArmCrash directly) reproduces exactly one of the
-// partial-failure windows recovery must handle:
+// Every subtree transfer — a pending-pool migration driven by an
+// adjustment round, or a rename (in place or cross-server) — journals
+// INTENT → PREPARE → COMMIT records to the Monitor's write-ahead log.
+// Each transaction site below sits *between* two of those durable steps
+// and is reached by both drivers, so arming a crash there
+// (FaultKind::kCrashAtSite, or FunctionalCluster::ArmCrash directly)
+// reproduces exactly one of the partial-failure windows recovery must
+// handle:
 //
-//   kAfterIntent       intent journaled, nothing moved       → roll back
-//   kAfterPrepare      records parked in the pending pool    → roll forward
-//   kAfterPull         pull delivered, receiver journaled it → roll forward
-//   kAfterCommitLocal  Monitor commit durable, in-memory
-//                      placement not yet updated             → roll forward
-//   kAfterGlBump       GL version bump journaled, replica
-//                      broadcast incomplete                  → rebuild at
-//                                                              WAL version
+//   kAfterIntent   intent journaled, nothing moved or renamed → roll back
+//   kAfterPrepare  records extracted into the pending pool    → roll forward
+//   kAfterApply    destination applied and journaled the
+//                  transfer, a rename's name applied; commit
+//                  not yet journaled                          → roll forward
+//                                                               (re-delivery
+//                                                               deduplicated)
+//   kAfterCommit   commit durable, in-memory indexes
+//                  possibly stale                             → replay
+//                                                               idempotently
 //
-// The rename transaction (DESIGN.md §8) adds four sites of its own, one
-// per window of the kRenameIntent → kRenamePrepare → apply →
-// kRenameCommit protocol:
+// One more site belongs to the global-layer update protocol:
 //
-//   kAfterRenameIntent   intent journaled, namespace untouched → roll back
-//   kAfterRenamePrepare  source subtree parked, rename not yet
-//                        applied anywhere                      → roll forward
-//   kAfterRenameApply    destination journaled the transfer,
-//                        namespace renamed, ownership and GL
-//                        version not yet updated               → roll forward
-//   kAfterRenameCommit   commit durable, in-memory indexes
-//                        possibly stale                        → replay
-//                                                                idempotently
+//   kAfterGlBump   GL version bump journaled, replica
+//                  broadcast incomplete                       → rebuild at
+//                                                               WAL version
 //
 // A crash can additionally tear the last WAL record (torn-write
 // truncation); replay must then treat the torn record as never written.
@@ -41,18 +38,12 @@ namespace d2tree {
 enum class CrashSite : std::uint8_t {
   kAfterIntent = 0,
   kAfterPrepare,
-  kAfterPull,
-  kAfterCommitLocal,
+  kAfterApply,
+  kAfterCommit,
   kAfterGlBump,
-  kAfterRenameIntent,
-  kAfterRenamePrepare,
-  kAfterRenameApply,
-  kAfterRenameCommit,
 };
-inline constexpr std::size_t kCrashSiteCount = 9;
-/// First rename-transaction site (the sites before it belong to the
-/// migration/GL protocols; d2fsck's demo mode switches driver on this).
-inline constexpr std::size_t kFirstRenameCrashSite = 5;
+inline constexpr std::size_t kCrashSiteCount =
+    static_cast<std::size_t>(CrashSite::kAfterGlBump) + 1;
 
 const char* CrashSiteName(CrashSite site);
 

@@ -1,4 +1,4 @@
-// Shared byte-level codec for durable artifacts (DESIGN.md §7, §11).
+// Shared byte-level codec for durable artifacts (DESIGN.md §7, §10).
 //
 // Every durable byte stream in the system — the Monitor/MDS journals
 // (durability/wal.h), the LSM engine's memtable WAL and MANIFEST, and the

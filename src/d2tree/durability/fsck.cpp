@@ -1,9 +1,9 @@
 #include "d2tree/durability/fsck.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <unordered_set>
 
 #include "d2tree/durability/frame.h"
@@ -21,191 +21,124 @@ void AddIssue(FsckReport& report, std::string check, std::string detail) {
 
 std::string IdStr(std::uint64_t id) { return std::to_string(id); }
 
-/// Per-migration fold of a journal, shared by both modes.
-struct MigrationFold {
-  bool intent = false;
-  bool prepared = false;
-  bool committed = false;
-  bool aborted = false;
-};
+}  // namespace
 
-std::map<std::uint64_t, MigrationFold> FoldMigrations(
-    const std::vector<WalRecord>& journal, FsckReport& report) {
-  std::map<std::uint64_t, MigrationFold> folds;
-  std::uint64_t last_gl_version = 0;
-  for (const WalRecord& r : journal) {
-    switch (r.type) {
-      case WalRecordType::kMigrationIntent: {
-        MigrationFold& f = folds[r.migration_id];
-        if (f.intent)
-          AddIssue(report, "journal.duplicate-intent",
-                   "migration " + IdStr(r.migration_id) +
-                       " has two INTENT records");
-        f.intent = true;
-        break;
-      }
-      case WalRecordType::kMigrationPrepare: {
-        MigrationFold& f = folds[r.migration_id];
-        if (!f.intent)
-          AddIssue(report, "journal.prepare-without-intent",
-                   "migration " + IdStr(r.migration_id) +
-                       " PREPARE precedes its INTENT");
-        f.prepared = true;
-        break;
-      }
-      case WalRecordType::kMigrationCommit: {
-        MigrationFold& f = folds[r.migration_id];
-        if (!f.prepared)
-          AddIssue(report, "journal.commit-without-prepare",
-                   "migration " + IdStr(r.migration_id) +
-                       " COMMIT without a PREPARE");
-        f.committed = true;
-        break;
-      }
-      case WalRecordType::kMigrationAbort: {
-        MigrationFold& f = folds[r.migration_id];
-        if (!f.intent)
-          AddIssue(report, "journal.abort-without-intent",
-                   "migration " + IdStr(r.migration_id) +
-                       " ABORT without an INTENT");
-        f.aborted = true;
-        break;
-      }
-      case WalRecordType::kGlVersion:
-        // Version bumps are drawn from a monotone counter and journaled
-        // before the broadcast; a regression means records were replayed
-        // out of order or a journal was stitched from two histories.
-        if (r.version < last_gl_version)
-          AddIssue(report, "journal.gl-version-regressed",
-                   "GL version record " + IdStr(r.version) +
-                       " journaled after version " + IdStr(last_gl_version));
-        last_gl_version = std::max(last_gl_version, r.version);
-        break;
-      case WalRecordType::kPlacementSnapshot:
-      case WalRecordType::kCapacitySnapshot:
-      case WalRecordType::kPullApplied:
-        break;  // checkpoints and MDS-side records carry no migration fold
-      case WalRecordType::kRenameIntent:
-      case WalRecordType::kRenamePrepare:
-      case WalRecordType::kRenameCommit:
-      case WalRecordType::kRenameAbort:
-        break;  // folded by FoldRenames
-    }
+const TxnFold::Txn* TxnFold::Apply(const WalRecord& r,
+                                   std::vector<FsckIssue>* issues) {
+  const auto flag = [&](const char* check, const std::string& what) {
+    if (issues != nullptr)
+      issues->push_back({check, "txn " + IdStr(r.txn_id) + " " + what});
+  };
+  switch (r.type) {
+    case WalRecordType::kTxnIntent:
+    case WalRecordType::kTxnPrepare:
+    case WalRecordType::kTxnCommit:
+    case WalRecordType::kTxnAbort:
+      break;
+    case WalRecordType::kPlacementSnapshot:
+    case WalRecordType::kCapacitySnapshot:
+    case WalRecordType::kGlVersion:
+    case WalRecordType::kPullApplied:
+      return nullptr;  // checkpoints and MDS-side records: no txn state
   }
-  for (const auto& [id, f] : folds) {
-    if (f.committed && f.aborted)
-      AddIssue(report, "journal.committed-and-aborted",
-               "migration " + IdStr(id) + " is both committed and aborted");
-    if (f.committed)
-      ++report.migrations_committed;
-    else if (f.aborted)
-      ++report.migrations_aborted;
-    else
-      ++report.migrations_in_flight;
+  // A pure migration names nothing; a rename journals the new name and
+  // the one an abort restores. With only one of them, recovery could not
+  // both roll the rename forward and roll it back.
+  if (r.name.empty() != r.prev_name.empty())
+    flag("journal.txn-half-named",
+         std::string(WalRecordTypeName(r.type)) +
+             " carries exactly one of name / prev_name");
+
+  if (r.type == WalRecordType::kTxnIntent) {
+    const auto [it, fresh] =
+        txns_.try_emplace(r.txn_id, Txn{State::kIntent, r});
+    if (!fresh)
+      flag("journal.duplicate-intent", "has two INTENT records");
+    else if (r.txn_id <= last_intent_id_)
+      flag("journal.txn-id-not-monotone",
+           "INTENT journaled after INTENT " + IdStr(last_intent_id_));
+    last_intent_id_ = std::max(last_intent_id_, r.txn_id);
+    return &it->second;
   }
-  return folds;
+  const auto it = txns_.find(r.txn_id);
+  if (it == txns_.end()) {
+    const char* check = r.type == WalRecordType::kTxnPrepare
+                            ? "journal.prepare-without-intent"
+                        : r.type == WalRecordType::kTxnCommit
+                            ? "journal.commit-without-prepare"
+                            : "journal.abort-without-intent";
+    flag(check, std::string(WalRecordTypeName(r.type)) + " without an INTENT");
+    return nullptr;
+  }
+  Txn& txn = it->second;
+  if (r.type == WalRecordType::kTxnPrepare) {
+    if (txn.state == State::kIntent) txn.state = State::kPrepared;
+  } else if (r.type == WalRecordType::kTxnCommit) {
+    if (txn.state == State::kIntent)
+      flag("journal.commit-without-prepare", "COMMIT without a PREPARE");
+    if (txn.state == State::kAborted)
+      flag("journal.committed-and-aborted", "is both committed and aborted");
+    txn.state = State::kCommitted;
+  } else {
+    if (txn.state == State::kCommitted)
+      flag("journal.committed-and-aborted", "is both committed and aborted");
+    txn.state = State::kAborted;
+  }
+  return &txn;
 }
 
-/// Per-rename fold (DESIGN.md §8): same shape as migrations, plus the
-/// rename-specific invariants — intent ids strictly increasing in journal
-/// order (shared monotone counter) and a non-empty post-rename name on
-/// every record.
-std::map<std::uint64_t, MigrationFold> FoldRenames(
-    const std::vector<WalRecord>& journal, FsckReport& report) {
-  std::map<std::uint64_t, MigrationFold> folds;
-  std::uint64_t last_intent_id = 0;
+namespace {
+
+/// The journal audit both modes share; returns the fold so cluster mode
+/// can match its in-flight ids against the parked handoffs.
+TxnFold AuditJournal(const Wal& wal, FsckReport& report) {
+  WalReplayStats stats;
+  const std::vector<WalRecord> journal = wal.Replay(&stats);
+  report.wal_records = stats.records;
+  report.torn_tail = stats.torn_tail;
+  report.torn_bytes = stats.torn_bytes;
+  TxnFold fold;
+  std::uint64_t last_gl_version = 0;
   for (const WalRecord& r : journal) {
-    switch (r.type) {
-      case WalRecordType::kRenameIntent: {
-        MigrationFold& f = folds[r.migration_id];
-        if (f.intent)
-          AddIssue(report, "journal.rename-duplicate-intent",
-                   "rename " + IdStr(r.migration_id) +
-                       " has two INTENT records");
-        f.intent = true;
-        if (r.migration_id <= last_intent_id)
-          AddIssue(report, "journal.rename-id-not-monotone",
-                   "rename INTENT " + IdStr(r.migration_id) +
-                       " journaled after INTENT " + IdStr(last_intent_id));
-        last_intent_id = std::max(last_intent_id, r.migration_id);
-        if (r.name.empty())
-          AddIssue(report, "journal.rename-empty-name",
-                   "rename " + IdStr(r.migration_id) +
-                       " INTENT carries no post-rename name");
+    fold.Apply(r, &report.issues);
+    if (r.type != WalRecordType::kGlVersion) continue;
+    // Version bumps are drawn from a monotone counter and journaled
+    // before the broadcast; a regression means records were replayed out
+    // of order or a journal was stitched from two histories.
+    if (r.version < last_gl_version)
+      AddIssue(report, "journal.gl-version-regressed",
+               "GL version record " + IdStr(r.version) +
+                   " journaled after version " + IdStr(last_gl_version));
+    last_gl_version = std::max(last_gl_version, r.version);
+  }
+  for (const auto& [id, txn] : fold.txns()) {
+    switch (txn.state) {
+      case TxnFold::State::kCommitted:
+        ++report.txns_committed;
         break;
-      }
-      case WalRecordType::kRenamePrepare: {
-        MigrationFold& f = folds[r.migration_id];
-        if (!f.intent)
-          AddIssue(report, "journal.rename-prepare-without-intent",
-                   "rename " + IdStr(r.migration_id) +
-                       " PREPARE precedes its INTENT");
-        f.prepared = true;
-        if (r.name.empty())
-          AddIssue(report, "journal.rename-empty-name",
-                   "rename " + IdStr(r.migration_id) +
-                       " PREPARE carries no post-rename name");
+      case TxnFold::State::kAborted:
+        ++report.txns_aborted;
         break;
-      }
-      case WalRecordType::kRenameCommit: {
-        MigrationFold& f = folds[r.migration_id];
-        if (!f.prepared)
-          AddIssue(report, "journal.rename-commit-without-prepare",
-                   "rename " + IdStr(r.migration_id) +
-                       " COMMIT without a PREPARE");
-        f.committed = true;
+      case TxnFold::State::kIntent:
+      case TxnFold::State::kPrepared:
+        ++report.txns_in_flight;
         break;
-      }
-      case WalRecordType::kRenameAbort: {
-        MigrationFold& f = folds[r.migration_id];
-        if (!f.intent)
-          AddIssue(report, "journal.rename-abort-without-intent",
-                   "rename " + IdStr(r.migration_id) +
-                       " ABORT without an INTENT");
-        f.aborted = true;
-        break;
-      }
-      case WalRecordType::kPlacementSnapshot:
-      case WalRecordType::kCapacitySnapshot:
-      case WalRecordType::kMigrationIntent:
-      case WalRecordType::kMigrationPrepare:
-      case WalRecordType::kMigrationCommit:
-      case WalRecordType::kMigrationAbort:
-      case WalRecordType::kGlVersion:
-      case WalRecordType::kPullApplied:
-        break;  // folded by FoldMigrations
     }
   }
-  for (const auto& [id, f] : folds) {
-    if (f.committed && f.aborted)
-      AddIssue(report, "journal.rename-committed-and-aborted",
-               "rename " + IdStr(id) + " is both committed and aborted");
-    if (f.committed)
-      ++report.renames_committed;
-    else if (f.aborted)
-      ++report.renames_aborted;
-    else
-      ++report.renames_in_flight;
-  }
-  return folds;
+  return fold;
 }
 
 }  // namespace
 
 FsckReport FsckJournal(const Wal& wal) {
   FsckReport report;
-  WalReplayStats stats;
-  const std::vector<WalRecord> journal = wal.Replay(&stats);
-  report.wal_records = stats.records;
-  report.torn_tail = stats.torn_tail;
-  report.torn_bytes = stats.torn_bytes;
-  FoldMigrations(journal, report);
-  FoldRenames(journal, report);
+  AuditJournal(wal, report);
   return report;
 }
 
 FsckReport FsckCluster(const FunctionalCluster& cluster) {
-  FsckReport report = FsckJournal(cluster.monitor_wal());
+  FsckReport report;
+  const TxnFold fold = AuditJournal(cluster.monitor_wal(), report);
 
   if (cluster.crashed()) {
     // Nothing live to audit: the volatile world is gone by definition.
@@ -263,43 +196,41 @@ FsckReport FsckCluster(const FunctionalCluster& cluster) {
                    std::to_string(master));
   }
 
-  // Cross-journal: every pull an MDS journaled as applied must trace back
-  // to a migration — or a cross-server rename, which ships its subtree
-  // through the same deduplicated transfer — the Monitor journaled.
-  std::unordered_set<std::uint64_t> known;
-  for (const WalRecord& r : cluster.monitor_wal().Replay())
-    if (r.type == WalRecordType::kMigrationIntent ||
-        r.type == WalRecordType::kRenameIntent)
-      known.insert(r.migration_id);
+  // Cross-journal: every transfer an MDS journaled as applied must trace
+  // back to a transaction the Monitor journaled.
   for (MdsId k = 0; k < static_cast<MdsId>(mds_count); ++k) {
     for (const WalRecord& r : cluster.mds_wal(k).Replay()) {
       if (r.type != WalRecordType::kPullApplied) continue;
-      if (!known.contains(r.migration_id))
+      if (!fold.txns().contains(r.txn_id))
         AddIssue(report, "journal.unknown-pull",
-                 "MDS " + std::to_string(k) + " applied pull of migration " +
-                     IdStr(r.migration_id) + " the Monitor never journaled");
+                 "MDS " + std::to_string(k) + " applied transfer of txn " +
+                     IdStr(r.txn_id) + " the Monitor never journaled");
     }
   }
 
-  // Journal-in-flight migrations must each be a parked handoff awaiting
-  // re-delivery — an in-flight record with nothing parked means a
-  // migration was dropped on the floor.
+  // The journal's in-flight transactions must be exactly the parked
+  // handoffs awaiting re-delivery. An in-flight id with nothing parked is
+  // a transaction dropped on the floor — renames never park, so an open
+  // rename on a cluster that answers clients lands here too (a crashed
+  // cluster reports cluster.crashed above instead).
   report.parked_nodes = cluster.ParkedNodes().size();
-  const std::size_t parked = cluster.parked_migration_count();
-  if (report.migrations_in_flight != parked)
+  std::vector<std::uint64_t> in_flight;
+  for (const auto& [id, txn] : fold.txns())
+    if (txn.state == TxnFold::State::kIntent ||
+        txn.state == TxnFold::State::kPrepared)
+      in_flight.push_back(id);
+  std::vector<std::uint64_t> parked = cluster.ParkedTxnIds();
+  std::sort(parked.begin(), parked.end());
+  if (in_flight != parked) {
+    const auto ids = [](const std::vector<std::uint64_t>& v) {
+      std::string out;
+      for (std::uint64_t id : v) out += (out.empty() ? "" : ",") + IdStr(id);
+      return "{" + out + "}";
+    };
     AddIssue(report, "journal.in-flight-unaccounted",
-             std::to_string(report.migrations_in_flight) +
-                 " journal-in-flight migrations vs " + std::to_string(parked) +
-                 " parked handoffs");
-
-  // Renames never park: a rename without a terminal record on a cluster
-  // that answers clients means a transaction was dropped on the floor
-  // (a crashed cluster reports cluster.crashed above instead).
-  if (report.renames_in_flight != 0)
-    AddIssue(report, "journal.rename-in-flight",
-             std::to_string(report.renames_in_flight) +
-                 " rename transaction(s) without a terminal record on a "
-                 "live cluster");
+             "journal-in-flight txns " + ids(in_flight) +
+                 " vs parked handoffs " + ids(parked));
+  }
 
   // Path integrity: every node's reconstructed path resolves back to
   // exactly that node — renames must never alias two nodes onto one path
@@ -425,15 +356,12 @@ std::string FormatFsckReport(const FsckReport& report) {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "d2fsck: %zu journal records%s, migrations: %zu committed / "
-                "%zu aborted / %zu in flight, renames: %zu committed / "
-                "%zu aborted / %zu in flight, %zu parked nodes\n",
+                "d2fsck: %zu journal records%s, transactions: %zu committed "
+                "/ %zu aborted / %zu in flight, %zu parked nodes\n",
                 report.wal_records,
                 report.torn_tail ? " (torn tail)" : "",
-                report.migrations_committed, report.migrations_aborted,
-                report.migrations_in_flight, report.renames_committed,
-                report.renames_aborted, report.renames_in_flight,
-                report.parked_nodes);
+                report.txns_committed, report.txns_aborted,
+                report.txns_in_flight, report.parked_nodes);
   out += line;
   if (report.store_tables != 0 || report.store_entries != 0 ||
       report.store_wal_records != 0) {

@@ -3,31 +3,27 @@
 // Two audit modes share one report type:
 //
 //   * FsckJournal — offline: walks a write-ahead log (a live Wal or one
-//     loaded from disk by the d2fsck CLI) and verifies the migration
-//     state machine record by record: every PREPARE follows its INTENT,
-//     every COMMIT its PREPARE, and no migration id is ever both
-//     committed and aborted. Rename transactions (DESIGN.md §8) get the
-//     same state-machine audit plus two of their own: rename intent ids
-//     must be strictly increasing in journal order (they draw from the
-//     shared monotone counter), and every rename record must carry the
-//     post-rename name. Torn tails are reported, not flagged — a
-//     torn last record is the legitimate footprint of a crash, it is
-//     *acting on* a torn log without truncating it that corrupts.
+//     loaded from disk by the d2fsck CLI) through TxnFold, the
+//     subtree-transfer state machine Recover() replays with: every
+//     PREPARE follows its INTENT, every COMMIT its PREPARE, no txn id is
+//     ever both committed and aborted, INTENT ids strictly increase in
+//     journal order (every transaction draws from one counter), and each
+//     record carries both or neither of a rename's name pair. Torn tails
+//     are reported, not flagged — a torn last record is the legitimate
+//     footprint of a crash, it is *acting on* a torn log without
+//     truncating it that corrupts.
 //
 //   * FsckCluster — online: the journal audit plus the live invariants of
 //     a FunctionalCluster — every local-layer subtree has exactly one
 //     owner and its records sit exactly there (via the cluster's own
 //     placement audit), the client-visible local index agrees with the
 //     Monitor's placement subtree by subtree, every live GL replica is at
-//     the master version, every pull an MDS journaled as applied traces
-//     back to a Monitor-journaled migration or rename, and every
-//     journal-in-flight migration is accounted for by a parked handoff.
-//     Rename invariants on a live cluster: no rename may be journal-in-
-//     flight (renames are synchronous — only a crash leaves one open, and
-//     then the cluster reports crashed instead), and every node's
-//     reconstructed path must resolve back to exactly that node, so no
-//     path ever resolves to two owners and no renamed subtree is
-//     orphaned from the namespace.
+//     the master version, every transfer an MDS journaled as applied
+//     traces back to a Monitor-journaled transaction, the journal's
+//     in-flight txn ids are exactly the parked handoffs (renames never
+//     park, so a rename left open on a live cluster fails here), and
+//     every node's reconstructed path resolves back to exactly that node,
+//     so no path ever resolves to two owners.
 //
 // A clean report after Recover() is the system's crash-consistency
 // criterion; the property sweep in tests/test_crash_recovery.cpp asserts
@@ -35,6 +31,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -50,23 +48,43 @@ struct FsckIssue {
   std::string detail;
 };
 
+/// The subtree-transfer state machine (DESIGN.md §7): one fold over the
+/// kTxn* journal records, shared by Recover() and d2fsck so the two can
+/// never disagree on what a journal says.
+class TxnFold {
+ public:
+  enum class State : std::uint8_t { kIntent, kPrepared, kCommitted, kAborted };
+  struct Txn {
+    State state = State::kIntent;
+    WalRecord intent;  // root, from → to and the name pair, as journaled
+  };
+
+  /// Folds one record, in journal order; other record types are ignored.
+  /// Returns the transaction `record` advanced, or nullptr when it names
+  /// no journaled INTENT. Protocol violations go to `issues` if non-null.
+  const Txn* Apply(const WalRecord& record,
+                   std::vector<FsckIssue>* issues = nullptr);
+
+  /// Every transaction folded so far, in id order.
+  const std::map<std::uint64_t, Txn>& txns() const noexcept { return txns_; }
+
+ private:
+  std::map<std::uint64_t, Txn> txns_;
+  std::uint64_t last_intent_id_ = 0;
+};
+
 struct FsckReport {
   std::vector<FsckIssue> issues;
   /// Journal statistics (filled by both modes).
   std::size_t wal_records = 0;
   bool torn_tail = false;
   std::size_t torn_bytes = 0;
-  std::size_t migrations_committed = 0;
-  std::size_t migrations_aborted = 0;
+  /// Subtree-transfer transactions folded from the journal.
+  std::size_t txns_committed = 0;
+  std::size_t txns_aborted = 0;
   /// Intent/prepare without a terminal record — awaiting recovery or a
   /// parked re-delivery.
-  std::size_t migrations_in_flight = 0;
-  /// Rename transactions folded from the journal (DESIGN.md §8).
-  std::size_t renames_committed = 0;
-  std::size_t renames_aborted = 0;
-  /// Rename intent/prepare without a terminal record. Unlike migrations
-  /// these never park: on a live cluster this must be 0.
-  std::size_t renames_in_flight = 0;
+  std::size_t txns_in_flight = 0;
   /// Cluster mode only: nodes pinned by parked handoffs.
   std::size_t parked_nodes = 0;
   /// Store mode (FsckStoreDir) / cluster mode with a persistent backend:
@@ -92,7 +110,7 @@ FsckReport FsckJournal(const Wal& wal);
 FsckReport FsckCluster(const FunctionalCluster& cluster);
 
 /// Offline on-disk audit of one LSM store-engine directory (DESIGN.md
-/// §11): MANIFEST framing and table list, the full AuditSSTable pass over
+/// §10): MANIFEST framing and table list, the full AuditSSTable pass over
 /// every listed table, stray or missing .sst files, and a frame-by-frame
 /// decode of the engine WAL. A torn WAL tail is reported, not flagged —
 /// like a Monitor-journal tear it is the footprint of a crash; a torn

@@ -15,26 +15,18 @@ const char* WalRecordTypeName(WalRecordType type) {
       return "placement-snapshot";
     case WalRecordType::kCapacitySnapshot:
       return "capacity-snapshot";
-    case WalRecordType::kMigrationIntent:
+    case WalRecordType::kTxnIntent:
       return "intent";
-    case WalRecordType::kMigrationPrepare:
+    case WalRecordType::kTxnPrepare:
       return "prepare";
-    case WalRecordType::kMigrationCommit:
+    case WalRecordType::kTxnCommit:
       return "commit";
-    case WalRecordType::kMigrationAbort:
+    case WalRecordType::kTxnAbort:
       return "abort";
     case WalRecordType::kGlVersion:
       return "gl-version";
     case WalRecordType::kPullApplied:
       return "pull-applied";
-    case WalRecordType::kRenameIntent:
-      return "rename-intent";
-    case WalRecordType::kRenamePrepare:
-      return "rename-prepare";
-    case WalRecordType::kRenameCommit:
-      return "rename-commit";
-    case WalRecordType::kRenameAbort:
-      return "rename-abort";
   }
   return "?";
 }
@@ -45,20 +37,12 @@ const char* CrashSiteName(CrashSite site) {
       return "after-intent";
     case CrashSite::kAfterPrepare:
       return "after-prepare";
-    case CrashSite::kAfterPull:
-      return "after-pull";
-    case CrashSite::kAfterCommitLocal:
-      return "after-commit-local";
+    case CrashSite::kAfterApply:
+      return "after-apply";
+    case CrashSite::kAfterCommit:
+      return "after-commit";
     case CrashSite::kAfterGlBump:
       return "after-gl-bump";
-    case CrashSite::kAfterRenameIntent:
-      return "after-rename-intent";
-    case CrashSite::kAfterRenamePrepare:
-      return "after-rename-prepare";
-    case CrashSite::kAfterRenameApply:
-      return "after-rename-apply";
-    case CrashSite::kAfterRenameCommit:
-      return "after-rename-commit";
   }
   return "?";
 }
@@ -76,7 +60,7 @@ std::vector<std::uint8_t> EncodeWalRecord(const WalRecord& r) {
   out.reserve(64 + 4 * r.owners.size() + 8 * r.capacities.size() +
               r.name.size() + r.prev_name.size());
   out.push_back(static_cast<std::uint8_t>(r.type));
-  PutU64(out, r.migration_id);
+  PutU64(out, r.txn_id);
   PutU64(out, static_cast<std::uint64_t>(r.root));
   PutU32(out, static_cast<std::uint32_t>(r.from));
   PutU32(out, static_cast<std::uint32_t>(r.to));
@@ -97,7 +81,7 @@ std::optional<WalRecord> DecodeWalRecord(const std::uint8_t* data,
                                          std::size_t len) {
   if (len == 0) return std::nullopt;
   WalRecord r;
-  if (data[0] > static_cast<std::uint8_t>(WalRecordType::kRenameAbort))
+  if (data[0] >= kWalRecordTypeCount)
     return std::nullopt;
   r.type = static_cast<WalRecordType>(data[0]);
   Reader in(data + 1, len - 1);
@@ -105,7 +89,7 @@ std::optional<WalRecord> DecodeWalRecord(const std::uint8_t* data,
   std::uint32_t from = 0;
   std::uint32_t to = 0;
   std::uint32_t n = 0;
-  if (!in.U64(&r.migration_id) || !in.U64(&root) || !in.U32(&from) ||
+  if (!in.U64(&r.txn_id) || !in.U64(&root) || !in.U32(&from) ||
       !in.U32(&to) || !in.U64(&r.version) || !in.U64(&r.count) ||
       !in.U32(&n)) {
     return std::nullopt;

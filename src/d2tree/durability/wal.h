@@ -1,11 +1,12 @@
 // Append-only write-ahead log for the metadata service (DESIGN.md §7).
 //
 // The Monitor and every MDS journal their durable state transitions here
-// before applying them: pending-pool pushes/pulls travel as
-// INTENT/PREPARE/COMMIT/ABORT records keyed by a monotonically assigned
-// migration id, global-layer version bumps and capacity/placement
-// snapshots checkpoint the cluster control state, and a receiving MDS
-// journals every pull it applied so replay can deduplicate re-deliveries.
+// before applying them: every subtree transfer — a pending-pool
+// migration or a rename — travels as INTENT/PREPARE/COMMIT/ABORT records
+// keyed by a monotonically assigned transaction id, global-layer
+// version bumps and capacity/placement snapshots checkpoint the cluster
+// control state, and a receiving MDS journals every transfer it applied
+// so replay can deduplicate re-deliveries.
 //
 // On-disk/in-memory framing (all integers little-endian):
 //
@@ -43,28 +44,24 @@ enum class WalRecordType : std::uint8_t {
   kPlacementSnapshot = 0,
   /// Checkpoint: per-MDS capacities the Monitor plans with.
   kCapacitySnapshot,
-  /// Two-phase handoff, Monitor side (all keyed by migration_id):
-  kMigrationIntent,   // migration planned: subtree `root`, from → to
-  kMigrationPrepare,  // records extracted and parked in the pending pool
-  kMigrationCommit,   // records delivered, ownership durable at `to`
-  kMigrationAbort,    // rolled back: subtree stays with `from`
+  /// Subtree-transfer transaction (DESIGN.md §7), keyed by `txn_id`. A
+  /// pure migration leaves `name`/`prev_name` empty; a rename carries
+  /// both; `from == to` (in-place or GL rename) has no transfer step.
+  kTxnIntent,   // planned: subtree `root`, from → to, optional new name
+  kTxnPrepare,  // records extracted (`count`), parked in the pending pool
+  kTxnCommit,   // durable at `to`; `version` = GL version a rename bumped
+  kTxnAbort,    // rolled back: owner and name unchanged (recovery
+                // restores `prev_name` if a rename's apply step had run)
   /// Global-layer master version bump (journaled before the broadcast).
   kGlVersion,
-  /// MDS side: this server applied the pull of `migration_id`
-  /// (`count` records) — replayed to rebuild the receiver's dedup set.
+  /// MDS side: this server applied the transfer of `txn_id` (`count`
+  /// records) — replayed to rebuild the receiver's dedup set.
   kPullApplied,
-  /// Atomic rename transaction (DESIGN.md §8), keyed by a rename id drawn
-  /// from the same monotone counter as migration ids:
-  kRenameIntent,   // rename planned: node `root`, new name in `name`,
-                   // old name in `prev_name`, source owner `from` →
-                   // destination owner `to` (from == to for a
-                   // same-server or GL rename)
-  kRenamePrepare,  // source subtree parked (`count` records extracted)
-  kRenameCommit,   // rename + re-home durable; `version` = GL version
-                   // bumped at commit (client cache invalidation)
-  kRenameAbort,    // rolled back: name and ownership unchanged (recovery
-                   // restores `prev_name` if the apply step had run)
 };
+/// Record types a decoder accepts: type bytes at or past this are
+/// malformed (a retired rename record byte included).
+inline constexpr std::size_t kWalRecordTypeCount =
+    static_cast<std::size_t>(WalRecordType::kPullApplied) + 1;
 
 const char* WalRecordTypeName(WalRecordType type);
 
@@ -72,16 +69,16 @@ const char* WalRecordTypeName(WalRecordType type);
 /// unused fields encode/decode as zero/empty.
 struct WalRecord {
   WalRecordType type = WalRecordType::kPlacementSnapshot;
-  std::uint64_t migration_id = 0;
-  NodeId root = kInvalidNode;  // migrated subtree's root
+  std::uint64_t txn_id = 0;
+  NodeId root = kInvalidNode;  // transferred subtree's root
   MdsId from = -1;
   MdsId to = -1;
   std::uint64_t version = 0;  // GL master version (snapshots, kGlVersion)
   std::uint64_t count = 0;    // record counts (prepare/pull payload sizes)
   std::vector<MdsId> owners;  // kPlacementSnapshot
   std::vector<double> capacities;  // kCapacitySnapshot
-  std::string name;       // kRename*: the post-rename component name
-  std::string prev_name;  // kRename*: the pre-rename name (abort restores it)
+  std::string name;       // kTxn* of a rename: the post-rename name
+  std::string prev_name;  // kTxn* of a rename: the pre-rename name
 
   bool operator==(const WalRecord&) const = default;
 };

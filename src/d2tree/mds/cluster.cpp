@@ -4,16 +4,34 @@
 #include <cassert>
 #include <chrono>
 #include <filesystem>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "d2tree/core/routing.h"
+#include "d2tree/durability/fsck.h"
 #include "d2tree/storage/sstable.h"
 
 namespace d2tree {
+namespace {
+
+/// The verdict of a lost leg that may have executed: undeliverable stays
+/// undeliverable, anything else is a timeout.
+DeliveryError LostLegError(const Delivery& leg) {
+  return leg.error == DeliveryError::kUndeliverable
+             ? DeliveryError::kUndeliverable
+             : DeliveryError::kTimeout;
+}
+
+/// Position of the registered subtree rooted at `root`, or
+/// `subtrees.size()` when `root` roots none.
+std::size_t SubtreeIndexOf(const std::vector<Subtree>& subtrees, NodeId root) {
+  std::size_t i = 0;
+  while (i < subtrees.size() && subtrees[i].root != root) ++i;
+  return i;
+}
+
+}  // namespace
 
 FunctionalCluster::FunctionalCluster(const NamespaceTree& tree,
                                      std::size_t mds_count,
@@ -59,24 +77,6 @@ StoreSpec FunctionalCluster::ServerStoreSpec(MdsId id) const {
   if (spec.persistent())
     spec.data_dir += "/mds" + std::to_string(id);
   return spec;
-}
-
-std::string FunctionalCluster::ShipPath(const char* kind,
-                                        std::uint64_t id) const {
-  return store_spec_.data_dir + "/ship/" + kind + std::to_string(id) + ".sst";
-}
-
-std::string FunctionalCluster::SealForShipping(
-    const char* kind, std::uint64_t id,
-    const std::vector<InodeRecord>& records) const {
-  if (!store_spec_.persistent() || records.empty()) return {};
-  std::string path = ShipPath(kind, id);
-  if (!WriteRecordsTable(records, path)) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    return {};  // seal failed (disk trouble): the per-record path still works
-  }
-  return path;
 }
 
 std::size_t FunctionalCluster::mds_count() const {
@@ -201,39 +201,102 @@ InodeRecord FunctionalCluster::MakeRecord(NodeId id) const {
 
 void FunctionalCluster::Materialize() {
   gl_master_version_.store(1, std::memory_order_release);
-  // A persistent store that opened existing data resumes rather than
-  // restarts: records it already holds keep their mutated mtimes and
-  // versions, and anything the freshly computed partition no longer
-  // places here (the previous run migrated it away, or it was promoted
-  // into the replicated crown) is dropped before the fill below.
-  if (store_spec_.persistent()) {
-    for (auto& server : servers_) {
-      const MdsId id = server->id();
-      for (NodeId held : server->local().HeldIds()) {
-        if (held >= tree_.size() || assignment_.IsReplicated(held) ||
-            assignment_.OwnerOf(held) != id) {
-          server->local().Remove(held);
-        }
-      }
-    }
-  }
   for (NodeId id = 0; id < tree_.size(); ++id) {
+    if (!assignment_.IsReplicated(id)) continue;
     const InodeRecord record = MakeRecord(id);
-    const MdsId owner = assignment_.OwnerOf(id);
-    if (owner == kReplicated) {
-      for (auto& server : servers_) server->global_replica().Put(record);
-    } else {
-      // Fill only what is missing or disagrees with the namespace (a
-      // record surviving from a run that renamed it is re-stamped; a
-      // record that merely mutated mtime/version is kept).
-      const auto held = servers_[owner]->local().Get(id);
-      if (!held.has_value() || held->name != record.name ||
-          held->parent != record.parent || held->type != record.type) {
-        servers_[owner]->local().Put(record);
-      }
-    }
+    for (auto& server : servers_) server->global_replica().Put(record);
   }
-  for (auto& server : servers_) server->set_gl_version(1);
+  for (auto& server : servers_) {
+    ReconcileLocalStoreLocked(server->id());
+    server->set_gl_version(1);
+  }
+}
+
+std::size_t FunctionalCluster::ReconcileLocalStoreLocked(MdsId mds) {
+  MetadataStore& local = servers_[mds]->local();
+  // A persistent store that opened existing data resumes rather than
+  // restarts: anything the placement no longer puts here (migrated away,
+  // promoted into the replicated crown, or pinned to an in-flight
+  // handoff whose records arrive via the re-issued pull) is dropped.
+  if (store_spec_.persistent()) {
+    for (NodeId held : local.HeldIds())
+      if (held >= tree_.size() || assignment_.OwnerOf(held) != mds ||
+          parked_nodes_.contains(held))
+        local.Remove(held);
+  }
+  // Fill only what is missing or disagrees with the namespace: a record
+  // the durable store kept keeps its mutated mtime and version, one
+  // surviving from before a rename is re-stamped.
+  std::size_t filled = 0;
+  for (NodeId id = 0; id < tree_.size(); ++id) {
+    if (assignment_.OwnerOf(id) != mds || parked_nodes_.contains(id)) continue;
+    const InodeRecord record = MakeRecord(id);
+    const auto held = local.Get(id);
+    if (held.has_value() && held->name == record.name &&
+        held->parent == record.parent && held->type == record.type)
+      continue;
+    local.Put(record);
+    ++filled;
+  }
+  return filled;
+}
+
+void FunctionalCluster::RestoreAppliedPullsLocked(MdsId mds) {
+  std::vector<std::uint64_t> applied;
+  for (const WalRecord& r : mds_wals_[mds]->Replay())
+    if (r.type == WalRecordType::kPullApplied) applied.push_back(r.txn_id);
+  servers_[mds]->RestoreAppliedPulls(applied);
+}
+
+void FunctionalCluster::NoteTransferLocked(MdsId to, std::uint64_t id,
+                                           std::size_t count,
+                                           bool applied_now) {
+  if (!applied_now) {
+    duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  WalRecord applied;
+  applied.type = WalRecordType::kPullApplied;
+  applied.txn_id = id;
+  applied.count = count;
+  mds_wals_[to]->Append(applied);
+}
+
+std::uint64_t FunctionalCluster::BumpGlVersionLocked(NodeId root) {
+  const std::uint64_t version =
+      gl_master_version_.load(std::memory_order_relaxed) + 1;
+  // WAL discipline: the bump is durable *before* any replica applies it,
+  // so recovery always rebuilds at (at least) the version a
+  // half-broadcast update reached.
+  WalRecord bump;
+  bump.type = WalRecordType::kGlVersion;
+  bump.root = root;
+  bump.version = version;
+  monitor_wal_.Append(bump);
+  gl_master_version_.store(version, std::memory_order_release);
+  return version;
+}
+
+double FunctionalCluster::BroadcastGlLocked(
+    MdsId coord, const Message& msg,
+    const std::function<void(MetadataStore&)>& apply) {
+  const std::uint64_t version =
+      gl_master_version_.load(std::memory_order_acquire);
+  double slowest_us = 0.0;
+  for (auto& server : servers_) {
+    if (!server->alive()) continue;
+    if (server->id() != coord) {
+      // Replica legs fan out concurrently; the ack the coordinator waits
+      // for is the slowest one. A leg a partition defeats is fenced by
+      // the version and caught up by the rebuild sweep.
+      const Delivery leg = transport_->SendReliable(
+          MdsAddress(coord), MdsAddress(server->id()), msg);
+      slowest_us = std::max(slowest_us, leg.latency_us);
+    }
+    apply(server->global_replica());
+    server->set_gl_version(version);
+  }
+  return slowest_us;
 }
 
 void FunctionalCluster::RebuildGlReplicaLocked(MdsId mds) {
@@ -280,12 +343,8 @@ FunctionalCluster::ClientResult FunctionalCluster::StatAt(NodeId target,
     // The metadata service is down (crash armed and fired), or the
     // target's subtree is parked mid-handoff in the pending pool: nobody
     // may answer until Recover() / the re-issued pull lands.
-    failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    out.op_class = OpClass::kFailover;
-    out.net_error = DeliveryError::kUndeliverable;
     out.hops = 0;  // nothing was contacted
-    return out;
+    return Unavailable(out, DeliveryError::kUndeliverable);
   }
   const auto ancestors = tree_.AncestorsOf(target);
   out.hops = 1;
@@ -341,11 +400,7 @@ FunctionalCluster::ClientResult FunctionalCluster::StatAt(NodeId target,
       out.served_by = retry;
       if (!AliveLocked(retry)) {
         // Owner crashed and its subtree has not been re-placed yet.
-        failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-        out.status = MdsStatus::kUnavailable;
-        out.op_class = OpClass::kFailover;
-        out.net_error = DeliveryError::kUndeliverable;
-        return out;
+        return Unavailable(out, DeliveryError::kUndeliverable);
       }
       const Message fwd{.type = MsgType::kForward, .target = target};
       const Delivery leg =
@@ -354,13 +409,7 @@ FunctionalCluster::ClientResult FunctionalCluster::StatAt(NodeId target,
       if (!leg.delivered) {
         // The forward was lost between servers; the client times out and
         // gives up (its next attempt would go straight to the owner).
-        failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-        out.status = MdsStatus::kUnavailable;
-        out.op_class = OpClass::kFailover;
-        out.net_error = leg.error == DeliveryError::kUndeliverable
-                            ? DeliveryError::kUndeliverable
-                            : DeliveryError::kTimeout;
-        return out;
+        return Unavailable(out, LostLegError(leg));
       }
       r = servers_[retry]->Stat(target, ancestors);
     }
@@ -374,13 +423,7 @@ FunctionalCluster::ClientResult FunctionalCluster::StatAt(NodeId target,
   if (!back.delivered) {
     // Answer computed but the response leg was lost: to the client this is
     // a timeout — it invalidates its cached route like any failover.
-    failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    out.op_class = OpClass::kFailover;
-    out.net_error = back.error == DeliveryError::kUndeliverable
-                        ? DeliveryError::kUndeliverable
-                        : DeliveryError::kTimeout;
-    return out;
+    return Unavailable(out, LostLegError(back));
   }
   out.status = r.status;
   out.record = r.record;
@@ -421,7 +464,7 @@ FunctionalCluster::ClientResult FunctionalCluster::StatVia(
     tree_.AddAccess(target);
   }
   ReaderMutexLock topo(&topo_mu_);
-  if (via < 0 || static_cast<std::size_t>(via) >= servers_.size()) {
+  if (!KnownLocked(via)) {
     // No such server: reject instead of indexing servers_ out of range.
     ClientResult out;
     out.status = MdsStatus::kUnavailable;
@@ -451,11 +494,7 @@ FunctionalCluster::ClientResult FunctionalCluster::Update(
   if (crashed_.load(std::memory_order_acquire) ||
       parked_nodes_.contains(target)) {
     // Service crashed, or the target's subtree is parked mid-handoff.
-    failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    out.op_class = OpClass::kFailover;
-    out.net_error = DeliveryError::kUndeliverable;
-    return out;
+    return Unavailable(out, DeliveryError::kUndeliverable);
   }
   const RouteDecision route = DecideRoute(tree_, scheme_.local_index(), target);
   if (route.gl_resident()) {
@@ -483,11 +522,7 @@ FunctionalCluster::ClientResult FunctionalCluster::Update(
         transport_->Send(ClientAddress(), MdsAddress(coord), req);
     out.sim_latency_us += d.latency_us;
     if (!d.delivered) {
-      failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-      out.status = MdsStatus::kUnavailable;
-      out.op_class = OpClass::kFailover;
-      out.net_error = d.error;
-      return out;
+      return Unavailable(out, d.error);
     }
     // Write-lock round with the Monitor's lock service (Sec. IV-A3).
     const Message lock_msg{.type = MsgType::kGlWriteLock, .target = target};
@@ -496,19 +531,7 @@ FunctionalCluster::ClientResult FunctionalCluster::Update(
     const Delivery lock_grant = transport_->SendReliable(
         MonitorAddress(), MdsAddress(coord), lock_msg);
     out.sim_latency_us += lock_req.latency_us + lock_grant.latency_us;
-    const std::uint64_t version =
-        gl_master_version_.load(std::memory_order_relaxed) + 1;
-    // WAL discipline: the version bump is durable *before* any replica
-    // applies it, so recovery always rebuilds at (at least) the version a
-    // half-broadcast update reached.
-    {
-      WalRecord bump;
-      bump.type = WalRecordType::kGlVersion;
-      bump.root = target;
-      bump.version = version;
-      monitor_wal_.Append(bump);
-    }
-    gl_master_version_.store(version, std::memory_order_release);
+    BumpGlVersionLocked(target);
     if (MaybeCrash(CrashSite::kAfterGlBump)) {
       // Bump journaled, broadcast never started: to the client this is an
       // outage; Recover() rebuilds every replica at the journaled version.
@@ -520,21 +543,9 @@ FunctionalCluster::ClientResult FunctionalCluster::Update(
                          .target = target,
                          .mtime = mtime,
                          .payload_records = 1};
-    double broadcast_us = 0.0;
-    for (auto& server : servers_) {
-      if (!server->alive()) continue;
-      if (server->id() != coord) {
-        // Replica legs fan out concurrently; the ack the coordinator waits
-        // for is the slowest one. A leg a partition defeats is fenced by
-        // the version and caught up by the rebuild sweep.
-        const Delivery leg = transport_->SendReliable(
-            MdsAddress(coord), MdsAddress(server->id()), commit);
-        broadcast_us = std::max(broadcast_us, leg.latency_us);
-      }
-      server->global_replica().Mutate(target, mtime);
-      server->set_gl_version(version);
-    }
-    out.sim_latency_us += broadcast_us;
+    out.sim_latency_us += BroadcastGlLocked(
+        coord, commit,
+        [&](MetadataStore& replica) { replica.Mutate(target, mtime); });
     ++gl_updates_;
     out.record = *servers_[coord]->global_replica().Get(target);
     const Message resp{.type = MsgType::kUpdateResponse,
@@ -545,13 +556,7 @@ FunctionalCluster::ClientResult FunctionalCluster::Update(
     out.sim_latency_us += back.latency_us;
     if (!back.delivered) {
       // Committed but unacknowledged: the client sees a timeout.
-      failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-      out.status = MdsStatus::kUnavailable;
-      out.op_class = OpClass::kFailover;
-      out.net_error = back.error == DeliveryError::kUndeliverable
-                          ? DeliveryError::kUndeliverable
-                          : DeliveryError::kTimeout;
-      return out;
+      return Unavailable(out, LostLegError(back));
     }
     out.status = MdsStatus::kOk;
     out.op_class = OpClass::kGlHit;
@@ -563,22 +568,14 @@ FunctionalCluster::ClientResult FunctionalCluster::Update(
   if (!AliveLocked(owner)) {
     // Writes have a single authority; with the owner down the client can
     // only invalidate its cache and report the outage.
-    failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    out.op_class = OpClass::kFailover;
-    out.net_error = DeliveryError::kUndeliverable;
-    return out;
+    return Unavailable(out, DeliveryError::kUndeliverable);
   }
   const Message req{
       .type = MsgType::kUpdateRequest, .target = target, .mtime = mtime};
   const Delivery d = transport_->Send(ClientAddress(), MdsAddress(owner), req);
   out.sim_latency_us += d.latency_us;
   if (!d.delivered) {
-    failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    out.op_class = OpClass::kFailover;
-    out.net_error = d.error;
-    return out;
+    return Unavailable(out, d.error);
   }
   const MdsOpResult r = servers_[owner]->UpdateLocal(target, ancestors, mtime);
   const Message resp{
@@ -587,13 +584,7 @@ FunctionalCluster::ClientResult FunctionalCluster::Update(
       transport_->Send(MdsAddress(owner), ClientAddress(), resp);
   out.sim_latency_us += back.latency_us;
   if (!back.delivered) {
-    failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    out.op_class = OpClass::kFailover;
-    out.net_error = back.error == DeliveryError::kUndeliverable
-                        ? DeliveryError::kUndeliverable
-                        : DeliveryError::kTimeout;
-    return out;
+    return Unavailable(out, LostLegError(back));
   }
   out.status = r.status;
   out.record = r.record;
@@ -624,6 +615,10 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
     const std::string& path, const std::string& new_name,
     std::optional<MdsId> dest_opt) {
   RenameResult out;
+  const auto fail = [&out](MdsStatus status) {
+    out.status = status;
+    return out;
+  };
   // A rename is a placement-epoch transition, not a data-plane op: it
   // freezes popularity charging and holds the placement lock exclusively
   // for the whole transaction, exactly like an adjustment round (lock
@@ -631,32 +626,20 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
   // half-renamed namespace.
   MutexLock client(&client_mu_);
   WriterMutexLock topo(&topo_mu_);
-  if (crashed_.load(std::memory_order_acquire)) {
-    out.status = MdsStatus::kUnavailable;
-    return out;
-  }
+  if (crashed_.load(std::memory_order_acquire))
+    return fail(MdsStatus::kUnavailable);
   const NodeId target = tree_.Resolve(path);
   if (target == kInvalidNode) return out;  // kNotFound
   if (target == tree_.root() || new_name.empty() ||
-      new_name.find('/') != std::string::npos) {
-    out.status = MdsStatus::kNotPermitted;
-    return out;
-  }
+      new_name.find('/') != std::string::npos)
+    return fail(MdsStatus::kNotPermitted);
   const NodeId sibling = tree_.FindChild(tree_.node(target).parent, new_name);
-  if (sibling == target) {
-    out.status = MdsStatus::kOk;  // renaming to the current name: no-op
-    return out;
-  }
-  if (sibling != kInvalidNode) {
-    out.status = MdsStatus::kNotPermitted;  // sibling collision
-    return out;
-  }
-  if (parked_nodes_.contains(target)) {
-    // Pinned to an in-flight handoff: nobody may touch the subtree until
-    // the parked pull lands or aborts.
-    out.status = MdsStatus::kUnavailable;
-    return out;
-  }
+  // Renaming to the current name is a no-op; a sibling collision is not.
+  if (sibling == target) return fail(MdsStatus::kOk);
+  if (sibling != kInvalidNode) return fail(MdsStatus::kNotPermitted);
+  // Pinned to an in-flight handoff: nobody may touch the subtree until
+  // the parked pull lands or aborts.
+  if (parked_nodes_.contains(target)) return fail(MdsStatus::kUnavailable);
   tree_.AddAccess(target);  // a rename charges popularity like any access
 
   const RenameRoute route =
@@ -665,20 +648,11 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
   MdsId dst = src;
   if (dest_opt.has_value()) {
     dst = *dest_opt;
-    if (route.gl_resident() || !route.subtree_root) {
-      // Re-homing is only meaningful at the unit of distribution: a
-      // registered local-layer subtree root.
-      out.status = MdsStatus::kNotPermitted;
-      return out;
-    }
-    if (dst < 0 || static_cast<std::size_t>(dst) >= servers_.size()) {
-      out.status = MdsStatus::kNotPermitted;
-      return out;
-    }
-    if (!AliveLocked(dst)) {
-      out.status = MdsStatus::kUnavailable;
-      return out;
-    }
+    // Re-homing is only meaningful at the unit of distribution (a
+    // registered local-layer subtree root), and onto a live server.
+    if (route.gl_resident() || !route.subtree_root || !KnownLocked(dst))
+      return fail(MdsStatus::kNotPermitted);
+    if (!AliveLocked(dst)) return fail(MdsStatus::kUnavailable);
   }
   const bool cross = dst != src;
   out.cross_server = cross;
@@ -689,10 +663,7 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
   MdsId coord;
   if (route.gl_resident()) {
     coord = AnyAliveLocked();
-    if (coord < 0) {
-      out.status = MdsStatus::kUnavailable;
-      return out;
-    }
+    if (coord < 0) return fail(MdsStatus::kUnavailable);
   } else if (AliveLocked(src)) {
     coord = src;
   } else if (cross) {
@@ -700,8 +671,7 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
   } else {
     // In-place rename needs its single write authority.
     failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    return out;
+    return fail(MdsStatus::kUnavailable);
   }
 
   // Request leg; a lost leg fails the op before anything was journaled.
@@ -710,8 +680,7 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
   out.sim_latency_us += d.latency_us;
   if (!d.delivered) {
     failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    return out;
+    return fail(MdsStatus::kUnavailable);
   }
   // Coordinator ⇄ Monitor lock round: renames serialize through the same
   // ZooKeeper-style lock service as GL writes (Sec. IV-A3); the Monitor
@@ -725,128 +694,28 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
 
   // --- INTENT: the transaction exists, nothing changed. Crash in this
   // window → Recover() rolls it back (journaled abort).
-  const std::uint64_t rename_id = next_migration_id_++;
-  out.rename_id = rename_id;
-  WalRecord intent;
-  intent.type = WalRecordType::kRenameIntent;
-  intent.migration_id = rename_id;
-  intent.root = target;
-  intent.from = src;
-  intent.to = dst;
-  intent.name = new_name;
-  intent.prev_name = tree_.node(target).name;  // abort restores this
-  monitor_wal_.Append(intent);
-  if (MaybeCrash(CrashSite::kAfterRenameIntent)) {
-    out.status = MdsStatus::kUnavailable;
-    return out;
-  }
-
+  Txn txn =
+      BeginTxnLocked(target, src, dst, new_name, tree_.node(target).name);
+  out.rename_id = txn.intent.txn_id;
+  if (MaybeCrash(CrashSite::kAfterIntent)) return fail(MdsStatus::kUnavailable);
   // --- PREPARE: a cross-server rename extracts the subtree from the
-  // source (records a crashed owner lost come back from the backing
-  // store, old names and all — the WAL carries the new one); in-place
-  // renames park nothing. Once the prepare record is durable the
-  // transaction rolls *forward* after a crash.
-  std::vector<NodeId> members;
-  std::vector<InodeRecord> records;
-  if (cross) {
-    members.reserve(tree_.SubtreeSize(target));
-    tree_.VisitSubtree(target, [&](NodeId v) { members.push_back(v); });
-    if (src >= 0 && static_cast<std::size_t>(src) < servers_.size())
-      records = servers_[src]->local().ExtractAll(members);
-    if (records.size() < members.size()) {
-      std::unordered_set<NodeId> extracted;
-      extracted.reserve(records.size());
-      for (const InodeRecord& r : records) extracted.insert(r.id);
-      for (NodeId v : members)
-        if (!extracted.contains(v)) records.push_back(MakeRecord(v));
-      recovered_records_.fetch_add(members.size() - extracted.size(),
-                                   std::memory_order_relaxed);
-    }
+  // source; an in-place one extracts nothing. From here the transaction
+  // rolls *forward* after a crash.
+  ExtractTxnLocked(txn);
+  if (MaybeCrash(CrashSite::kAfterPrepare))
+    return fail(MdsStatus::kUnavailable);
+  // --- TRANSFER (cross-server only), on the direct source → destination
+  // leg. A rename is a synchronous client-facing op, so an undeliverable
+  // leg aborts the transaction and restores the source — nothing parks.
+  if (cross && !DeliverTxnLocked(txn, MdsAddress(src))) {
+    AbortTxnLocked(txn);
+    return fail(MdsStatus::kUnavailable);
   }
-  WalRecord prepare = intent;
-  prepare.type = WalRecordType::kRenamePrepare;
-  prepare.count = records.size();
-  monitor_wal_.Append(prepare);
-  if (MaybeCrash(CrashSite::kAfterRenamePrepare)) {
-    out.status = MdsStatus::kUnavailable;
-    return out;
-  }
-
-  // --- TRANSFER (cross-server only): the extracted records travel
-  // source → destination under the control-plane retry discipline. A
-  // rename is a synchronous client-facing op, so an undeliverable leg
-  // aborts the transaction (journaled) and restores the source — unlike
-  // migrations, nothing parks.
-  std::string xfer_table;
-  if (cross) {
-    // The records land at the destination post-rename, so apply the new
-    // name to the in-flight copy up front — the per-record path used to
-    // do this between transfer and apply; the sealed table must carry the
-    // final bytes because the destination links the file in untouched.
-    for (InodeRecord& r : records)
-      if (r.id == target) {
-        r.name = new_name;
-        ++r.version;
-      }
-    xfer_table = SealForShipping("ren", rename_id, records);
-    Message xfer{.type = xfer_table.empty() ? MsgType::kRenamePrepare
-                                            : MsgType::kBulkTable,
-                 .target = target,
-                 .payload_records = records.size(),
-                 .migration_id = rename_id,
-                 .name = xfer_table};
-    if (!SendControl(MdsAddress(src), MdsAddress(dst), xfer, control_policy_,
-                     rename_id)) {
-      WalRecord abort = intent;
-      abort.type = WalRecordType::kRenameAbort;
-      monitor_wal_.Append(abort);
-      if (!xfer_table.empty()) {
-        std::error_code ec;
-        std::filesystem::remove(xfer_table, ec);
-      }
-      if (AliveLocked(src)) {
-        // Undo the pre-applied rename before the records go home.
-        for (InodeRecord& r : records)
-          if (r.id == target) {
-            r.name = tree_.node(target).name;
-            --r.version;
-          }
-        servers_[src]->local().InsertAll(records);
-      }
-      renames_aborted_.fetch_add(1, std::memory_order_relaxed);
-      out.status = MdsStatus::kUnavailable;
-      return out;
-    }
-  }
-
   // --- APPLY: the backing tree takes the new name (idempotent — recovery
-  // and journal replay re-apply it), then the records land at their
-  // holder. Crash in this window → roll forward.
+  // and journal replay re-apply it). Crash in this window → roll forward.
   ApplyRenameLocked(target, new_name);
   if (cross) {
-    // Destination-side dedup on the rename id, exactly like a migration
-    // pull: a re-delivered transfer is applied at most once.
-    const bool applied_now =
-        xfer_table.empty()
-            ? servers_[dst]->ApplyPull(rename_id, records)
-            : servers_[dst]->ApplyPullTable(rename_id, xfer_table);
-    if (applied_now) {
-      WalRecord applied;
-      applied.type = WalRecordType::kPullApplied;
-      applied.migration_id = rename_id;
-      applied.count = records.size();
-      mds_wals_[dst]->Append(applied);
-    } else {
-      duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!xfer_table.empty()) {
-      bulk_tables_shipped_.fetch_add(1, std::memory_order_relaxed);
-      bulk_records_shipped_.fetch_add(records.size(),
-                                      std::memory_order_relaxed);
-      std::error_code ec;
-      std::filesystem::remove(xfer_table, ec);
-    }
-    out.records_moved = records.size();
+    out.records_moved = txn.records.size();
   } else if (!route.gl_resident()) {
     // In-place local-layer rename: rewrite the record at its owner. (A
     // GL-resident rename rewrites every live replica under the GL lock
@@ -858,87 +727,50 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
       servers_[src]->local().Put(*rec);
     }
   }
-  if (MaybeCrash(CrashSite::kAfterRenameApply)) {
-    out.status = MdsStatus::kUnavailable;
-    return out;
-  }
+  if (MaybeCrash(CrashSite::kAfterApply)) return fail(MdsStatus::kUnavailable);
 
-  // --- COMMIT: ownership flips at the unit of distribution, the GL
-  // master version bumps (journaled before any replica applies it) so
-  // every cached client index and lease invalidates, and the commit
-  // record makes the transaction terminal. Crash after the commit record
-  // → replay is idempotent.
-  if (cross) {
-    const auto& subtrees = scheme_.layers().subtrees;
-    for (std::size_t i = 0; i < subtrees.size(); ++i) {
-      if (subtrees[i].root == target) {
-        scheme_.SetSubtreeOwner(i, dst);
-        break;
-      }
-    }
-    for (NodeId v : members) assignment_.owner[v] = dst;
-  }
+  // --- COMMIT: the GL master version bumps (journaled before any replica
+  // applies it) so every cached client index and lease invalidates, then
+  // the commit record flips ownership and makes the transaction terminal.
+  // Crash after the commit record → replay is idempotent.
   std::uint64_t version = 0;
   {
     MutexLock gl(&gl_mu_);
-    version = gl_master_version_.load(std::memory_order_relaxed) + 1;
-    WalRecord bump;
-    bump.type = WalRecordType::kGlVersion;
-    bump.root = target;
-    bump.version = version;
-    monitor_wal_.Append(bump);
-    gl_master_version_.store(version, std::memory_order_release);
-    const Message commit_msg{.type = MsgType::kRenameCommit,
+    version = BumpGlVersionLocked(target);
+    const Message commit_msg{.type = MsgType::kGlCommit,
                              .target = target,
                              .payload_records = route.gl_resident() ? 1u : 0u,
-                             .migration_id = rename_id};
-    double broadcast_us = 0.0;
-    for (auto& server : servers_) {
-      if (!server->alive()) continue;
-      if (server->id() != coord) {
-        const Delivery leg = transport_->SendReliable(
-            MdsAddress(coord), MdsAddress(server->id()), commit_msg);
-        broadcast_us = std::max(broadcast_us, leg.latency_us);
-      }
-      if (route.gl_resident()) {
-        auto rec = server->global_replica().Get(target);
-        if (rec.has_value()) {
-          rec->name = new_name;
-          ++rec->version;
-          server->global_replica().Put(*rec);
-        }
-      }
-      server->set_gl_version(version);
-    }
-    out.sim_latency_us += broadcast_us;
+                             .migration_id = txn.intent.txn_id};
+    out.sim_latency_us +=
+        BroadcastGlLocked(coord, commit_msg, [&](MetadataStore& replica) {
+          if (!route.gl_resident()) return;
+          auto rec = replica.Get(target);
+          if (rec.has_value()) {
+            rec->name = new_name;
+            ++rec->version;
+            replica.Put(*rec);
+          }
+        });
   }
-  WalRecord commit = intent;
-  commit.type = WalRecordType::kRenameCommit;
-  commit.version = version;
-  monitor_wal_.Append(commit);
-  renames_committed_.fetch_add(1, std::memory_order_relaxed);
-  if (MaybeCrash(CrashSite::kAfterRenameCommit)) {
-    // Durable but unacknowledged: the client sees an outage; replaying
-    // the journaled commit is a no-op.
-    out.status = MdsStatus::kUnavailable;
-    return out;
-  }
+  CommitTxnLocked(txn, version);
+  // Crash here: durable but unacknowledged — the client sees an outage;
+  // replaying the journaled commit is a no-op.
+  if (MaybeCrash(CrashSite::kAfterCommit))
+    return fail(MdsStatus::kUnavailable);
 
   const Message resp{.type = MsgType::kRenameResponse,
                      .target = target,
                      .status = MdsStatus::kOk,
-                     .migration_id = rename_id};
+                     .migration_id = txn.intent.txn_id};
   const Delivery back =
       transport_->Send(MdsAddress(coord), ClientAddress(), resp);
   out.sim_latency_us += back.latency_us;
   if (!back.delivered) {
     // Committed but unacknowledged: the client sees a timeout.
     failover_redirects_.fetch_add(1, std::memory_order_relaxed);
-    out.status = MdsStatus::kUnavailable;
-    return out;
+    return fail(MdsStatus::kUnavailable);
   }
-  out.status = MdsStatus::kOk;
-  return out;
+  return fail(MdsStatus::kOk);
 }
 
 std::size_t FunctionalCluster::CheckPathIntegrity(std::string* error) const {
@@ -976,52 +808,23 @@ bool FunctionalCluster::KillServer(MdsId mds) {
 
 bool FunctionalCluster::ReviveServer(MdsId mds) {
   WriterMutexLock topo(&topo_mu_);
-  if (mds < 0 || static_cast<std::size_t>(mds) >= servers_.size() ||
-      servers_[mds]->alive()) {
-    return false;
-  }
+  if (!KnownLocked(mds) || servers_[mds]->alive()) return false;
   {
     MutexLock gl(&gl_mu_);
     // Replica first, liveness second: the server never serves a stale or
     // empty global layer.
     RebuildGlReplicaLocked(mds);
   }
-  // A persistent store came through the crash holding its durable
-  // records; anything an adjustment round re-placed while this server was
-  // dead (or that is pinned to an in-flight handoff) must not resurface
-  // here as a second copy.
-  if (store_spec_.persistent()) {
-    for (NodeId held : servers_[mds]->local().HeldIds()) {
-      if (held >= tree_.size() || assignment_.IsReplicated(held) ||
-          assignment_.OwnerOf(held) != mds || parked_nodes_.contains(held)) {
-        servers_[mds]->local().Remove(held);
-      }
-    }
-  }
   // Fast restart: if the crash window closed before any adjustment round,
   // this server is still the assigned owner of its subtrees — once alive
-  // again nobody would re-place them, so their records must come back with
-  // it, re-materialized from the backing store (records the durable engine
-  // preserved stay as they are, mutations and all).
-  std::uint64_t restored = 0;
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    if (assignment_.IsReplicated(id) || assignment_.OwnerOf(id) != mds)
-      continue;
-    // A parked node is pinned to an in-flight handoff: its records live
-    // in the pending pool and arrive via the re-issued pull, so the
-    // restart must not conjure a second copy here.
-    if (parked_nodes_.contains(id)) continue;
-    if (servers_[mds]->local().Contains(id)) continue;
-    servers_[mds]->local().Put(MakeRecord(id));
-    ++restored;
-  }
-  recovered_records_.fetch_add(restored, std::memory_order_relaxed);
+  // again nobody would re-place them, so their records come back with it,
+  // re-materialized from the backing store; whatever was re-placed while
+  // it was dead must not resurface here as a second copy.
+  recovered_records_.fetch_add(ReconcileLocalStoreLocked(mds),
+                               std::memory_order_relaxed);
   // The pull-dedup set is volatile; rebuild it from this server's journal
   // so a pull retransmitted across the crash is still dropped.
-  std::vector<std::uint64_t> applied;
-  for (const WalRecord& r : mds_wals_[mds]->Replay())
-    if (r.type == WalRecordType::kPullApplied) applied.push_back(r.migration_id);
-  servers_[mds]->RestoreAppliedPulls(applied);
+  RestoreAppliedPullsLocked(mds);
   servers_[mds]->set_heartbeats_suppressed(false);
   servers_[mds]->set_alive(true);
   return true;
@@ -1043,96 +846,177 @@ MdsId FunctionalCluster::AddServer(double capacity) {
 
 bool FunctionalCluster::SetHeartbeatSuppressed(MdsId mds, bool suppressed) {
   WriterMutexLock topo(&topo_mu_);
-  if (mds < 0 || static_cast<std::size_t>(mds) >= servers_.size())
-    return false;
+  if (!KnownLocked(mds)) return false;
   servers_[mds]->set_heartbeats_suppressed(suppressed);
   return true;
 }
 
 bool FunctionalCluster::SetClientLinkDrop(MdsId mds, double probability) {
   WriterMutexLock topo(&topo_mu_);
-  if (mds < 0 || static_cast<std::size_t>(mds) >= servers_.size())
-    return false;
+  if (!KnownLocked(mds)) return false;
   return transport_->SetLinkDropRate(ClientAddress(), MdsAddress(mds),
                                      probability);
 }
 
 bool FunctionalCluster::SetMonitorPartition(MdsId mds, bool partitioned) {
   WriterMutexLock topo(&topo_mu_);
-  if (mds < 0 || static_cast<std::size_t>(mds) >= servers_.size())
-    return false;
+  if (!KnownLocked(mds)) return false;
   return transport_->SetPartitioned(MonitorAddress(), MdsAddress(mds),
                                     partitioned);
 }
 
-std::size_t FunctionalCluster::CompleteParkedLocked() {
-  if (parked_.empty()) return 0;
-  std::size_t moved = 0;
-  std::vector<ParkedMigration> still_parked;
-  for (ParkedMigration& mig : parked_) {
-    if (!AliveLocked(mig.to)) {
-      // The grantee died while the pull was parked: abort the handoff.
-      // The records drop back to the durable backing store; the subtree
-      // is re-placed through the pending pool like any orphan (its
-      // planner owner still points at the dead grantee, i.e. capacity 0).
-      WalRecord abort;
-      abort.type = WalRecordType::kMigrationAbort;
-      abort.migration_id = mig.id;
-      abort.root = mig.root;
-      abort.from = mig.from;
-      abort.to = mig.to;
-      monitor_wal_.Append(abort);
-      for (NodeId v : mig.members) parked_nodes_.erase(v);
-      if (!mig.table.empty()) {
-        // The sealed table was never delivered; the records regenerate
-        // from the backing store when the subtree is re-placed.
-        std::error_code ec;
-        std::filesystem::remove(mig.table, ec);
-      }
-      continue;
+void FunctionalCluster::JournalTxn(const WalRecord& intent,
+                                   WalRecordType type, std::uint64_t count,
+                                   std::uint64_t version) {
+  WalRecord record = intent;
+  record.type = type;
+  record.count = count;
+  record.version = version;
+  monitor_wal_.Append(record);
+  if (intent.name.empty()) return;
+  if (type == WalRecordType::kTxnCommit)
+    renames_committed_.fetch_add(1, std::memory_order_relaxed);
+  else if (type == WalRecordType::kTxnAbort)
+    renames_aborted_.fetch_add(1, std::memory_order_relaxed);
+}
+
+FunctionalCluster::Txn FunctionalCluster::BeginTxnLocked(
+    NodeId root, MdsId from, MdsId to, std::string name,
+    std::string prev_name) {
+  Txn txn;
+  txn.intent.type = WalRecordType::kTxnIntent;
+  txn.intent.txn_id = next_txn_id_++;
+  txn.intent.root = root;
+  txn.intent.from = from;
+  txn.intent.to = to;
+  txn.intent.name = std::move(name);
+  txn.intent.prev_name = std::move(prev_name);
+  monitor_wal_.Append(txn.intent);
+  return txn;
+}
+
+void FunctionalCluster::ExtractTxnLocked(Txn& txn) {
+  const WalRecord& intent = txn.intent;
+  if (intent.from != intent.to) {
+    txn.members.reserve(tree_.SubtreeSize(intent.root));
+    tree_.VisitSubtree(intent.root,
+                       [&](NodeId v) { txn.members.push_back(v); });
+    if (KnownLocked(intent.from))
+      txn.records = servers_[intent.from]->local().ExtractAll(txn.members);
+    if (txn.records.size() < txn.members.size()) {
+      // Crash recovery: whatever the failed owner lost is rebuilt from
+      // the backing store before the subtree lands on its new server.
+      std::unordered_set<NodeId> extracted;
+      extracted.reserve(txn.records.size());
+      for (const InodeRecord& r : txn.records) extracted.insert(r.id);
+      for (NodeId v : txn.members)
+        if (!extracted.contains(v)) txn.records.push_back(MakeRecord(v));
+      recovered_records_.fetch_add(txn.members.size() - extracted.size(),
+                                   std::memory_order_relaxed);
     }
-    Message pull{.type = mig.table.empty() ? MsgType::kPendingPoolPull
-                                           : MsgType::kBulkTable,
-                 .target = mig.root,
-                 .payload_records = mig.records.size(),
-                 .migration_id = mig.id,
-                 .name = mig.table};
-    if (!SendControl(MonitorAddress(), MdsAddress(mig.to), pull,
-                     control_policy_, mig.id)) {
-      still_parked.push_back(std::move(mig));  // link still down: next round
-      continue;
-    }
-    // The pull may be a re-delivery of one the grantee already applied
-    // (e.g. its ack was the lost leg): dedup on the migration id decides.
-    const bool applied_now =
-        mig.table.empty()
-            ? servers_[mig.to]->ApplyPull(mig.id, mig.records)
-            : servers_[mig.to]->ApplyPullTable(mig.id, mig.table);
-    if (applied_now) {
-      WalRecord applied;
-      applied.type = WalRecordType::kPullApplied;
-      applied.migration_id = mig.id;
-      applied.count = mig.records.size();
-      mds_wals_[mig.to]->Append(applied);
-    } else {
-      duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!mig.table.empty()) {
-      bulk_tables_shipped_.fetch_add(1, std::memory_order_relaxed);
-      bulk_records_shipped_.fetch_add(mig.records.size(),
-                                      std::memory_order_relaxed);
+    // A rename's records land post-rename: the in-flight copy carries the
+    // new name (a sealed table is linked in at the destination untouched).
+    if (!intent.name.empty())
+      for (InodeRecord& r : txn.records)
+        if (r.id == intent.root) {
+          r.name = intent.name;
+          ++r.version;
+        }
+  }
+  // The records are now parked in the pending pool — durable by
+  // construction (the backing store can always regenerate them), so from
+  // here the transaction rolls *forward* after a crash.
+  JournalTxn(intent, WalRecordType::kTxnPrepare, txn.records.size());
+}
+
+bool FunctionalCluster::DeliverTxnLocked(Txn& txn, const Address& sender) {
+  const std::uint64_t id = txn.intent.txn_id;
+  const MdsId to = txn.intent.to;
+  // With a persistent backend the subtree travels as one sealed SSTable
+  // the destination ingests by file link-in; otherwise the pull carries
+  // the records. A seal failure (disk trouble) silently degrades to the
+  // per-record path.
+  if (txn.table.empty() && store_spec_.persistent() && !txn.records.empty()) {
+    txn.table =
+        store_spec_.data_dir + "/ship/txn" + std::to_string(id) + ".sst";
+    if (!WriteRecordsTable(txn.records, txn.table)) {
       std::error_code ec;
-      std::filesystem::remove(mig.table, ec);
+      std::filesystem::remove(txn.table, ec);
+      txn.table.clear();
     }
-    WalRecord commit;
-    commit.type = WalRecordType::kMigrationCommit;
-    commit.migration_id = mig.id;
-    commit.root = mig.root;
-    commit.from = mig.from;
-    commit.to = mig.to;
-    monitor_wal_.Append(commit);
-    for (NodeId v : mig.members) parked_nodes_.erase(v);
-    moved += mig.records.size();
+  }
+  const Message pull{.type = txn.table.empty() ? MsgType::kPendingPoolPull
+                                               : MsgType::kBulkTable,
+                     .target = txn.intent.root,
+                     .payload_records = txn.records.size(),
+                     .migration_id = id,
+                     .name = txn.table};
+  if (!SendControl(sender, MdsAddress(to), pull, control_policy_, id))
+    return false;
+  // The pull may be a re-delivery of one the destination already applied
+  // (e.g. its ack was the lost leg): dedup on the txn id decides.
+  NoteTransferLocked(
+      to, id, txn.records.size(),
+      txn.table.empty() ? servers_[to]->ApplyPull(id, txn.records)
+                        : servers_[to]->ApplyPullTable(id, txn.table));
+  if (!txn.table.empty()) {
+    bulk_tables_shipped_.fetch_add(1, std::memory_order_relaxed);
+    bulk_records_shipped_.fetch_add(txn.records.size(),
+                                    std::memory_order_relaxed);
+    std::error_code ec;
+    std::filesystem::remove(txn.table, ec);  // the engine link-in holds it
+    txn.table.clear();
+  }
+  return true;
+}
+
+void FunctionalCluster::CommitTxnLocked(const Txn& txn,
+                                        std::uint64_t version) {
+  JournalTxn(txn.intent, WalRecordType::kTxnCommit, 0, version);
+  if (txn.intent.from == txn.intent.to) return;
+  // Ownership flips at the unit of distribution. An adjustment round's
+  // planner already points at `to`; a rename's re-home flips it here.
+  scheme_.SetSubtreeOwner(
+      SubtreeIndexOf(scheme_.layers().subtrees, txn.intent.root),
+      txn.intent.to);
+  for (NodeId v : txn.members) {
+    assignment_.owner[v] = txn.intent.to;
+    parked_nodes_.erase(v);
+  }
+}
+
+void FunctionalCluster::AbortTxnLocked(Txn& txn) {
+  JournalTxn(txn.intent, WalRecordType::kTxnAbort);
+  if (!txn.table.empty()) {
+    std::error_code ec;
+    std::filesystem::remove(txn.table, ec);
+  }
+  for (NodeId v : txn.members) parked_nodes_.erase(v);
+  const MdsId owner = assignment_.OwnerOf(txn.intent.root);
+  if (txn.records.empty() || !AliveLocked(owner)) return;
+  for (InodeRecord& r : txn.records)
+    if (r.id == txn.intent.root && !txn.intent.prev_name.empty()) {
+      r.name = txn.intent.prev_name;  // undo the pre-applied rename
+      --r.version;
+    }
+  servers_[owner]->local().InsertAll(txn.records);
+}
+
+std::size_t FunctionalCluster::CompleteParkedLocked() {
+  std::size_t moved = 0;
+  std::vector<Txn> still_parked;
+  for (Txn& txn : parked_) {
+    if (!AliveLocked(txn.intent.to)) {
+      // The grantee died while the pull was parked: abort the handoff.
+      // The subtree is re-placed through the pending pool like any orphan
+      // (its planner owner still points at the dead grantee).
+      AbortTxnLocked(txn);
+    } else if (!DeliverTxnLocked(txn, MonitorAddress())) {
+      still_parked.push_back(std::move(txn));  // link still down
+    } else {
+      CommitTxnLocked(txn);
+      moved += txn.records.size();
+    }
   }
   parked_ = std::move(still_parked);
   return moved;
@@ -1158,8 +1042,8 @@ std::size_t FunctionalCluster::RunAdjustmentRound() {
         RebuildGlReplicaLocked(server->id());
   }
 
-  // Re-issue the pull of any migration a partition parked in an earlier
-  // round (dedup on the migration id makes a re-delivery safe).
+  // Re-issue the pull of any transaction a partition parked in an earlier
+  // round (dedup on the txn id makes a re-delivery safe).
   std::size_t moved_records = CompleteParkedLocked();
 
   const MdsCluster effective = CollectHeartbeats();
@@ -1174,13 +1058,12 @@ std::size_t FunctionalCluster::RunAdjustmentRound() {
   const auto& owners_after = scheme_.subtree_owners();
   const auto& subtrees = scheme_.layers().subtrees;
 
-  // Physically move each migrated subtree's records through the journaled
-  // two-phase handoff: INTENT (planned, nothing moved) → PREPARE (records
-  // extracted into the pending pool) → pull delivered + applied (the
-  // receiver journals it) → COMMIT (ownership durable). A crash between
-  // any two steps lands on exactly one side of the protocol: intent-only
-  // rolls back, prepared-or-later rolls forward — never a duplicate,
-  // never an orphan.
+  // Physically move each migrated subtree's records as one transaction:
+  // INTENT (planned, nothing moved) → PREPARE (records extracted into the
+  // pending pool) → pull delivered + applied (the receiver journals it) →
+  // COMMIT. A crash between any two steps lands on exactly one side:
+  // intent-only rolls back, prepared-or-later rolls forward — never a
+  // duplicate, never an orphan.
   std::vector<std::size_t> repinned;
   for (std::size_t i = 0; i < subtrees.size(); ++i) {
     const MdsId from = owners_before[i];
@@ -1189,116 +1072,39 @@ std::size_t FunctionalCluster::RunAdjustmentRound() {
     if (parked_nodes_.contains(subtrees[i].root)) {
       // In-flight handoff: the subtree stays pinned to its parked grantee
       // until that pull lands or aborts — re-planning it mid-flight would
-      // put the same records in two migrations at once.
+      // put the same records in two transactions at once.
       scheme_.SetSubtreeOwner(i, from);
       repinned.push_back(i);
       continue;
     }
-    const std::uint64_t mig_id = next_migration_id_++;
-    WalRecord intent;
-    intent.type = WalRecordType::kMigrationIntent;
-    intent.migration_id = mig_id;
-    intent.root = subtrees[i].root;
-    intent.from = from;
-    intent.to = to;
-    monitor_wal_.Append(intent);
+    Txn txn = BeginTxnLocked(subtrees[i].root, from, to);
     if (MaybeCrash(CrashSite::kAfterIntent)) return moved_records;
-
-    std::vector<NodeId> members;
-    members.reserve(subtrees[i].node_count);
-    tree_.VisitSubtree(subtrees[i].root,
-                       [&](NodeId v) { members.push_back(v); });
-    std::vector<InodeRecord> records;
-    if (from >= 0 && static_cast<std::size_t>(from) < servers_.size())
-      records = servers_[from]->local().ExtractAll(members);
-    if (records.size() < members.size()) {
-      // Crash recovery: whatever the failed owner lost is rebuilt from
-      // the backing store before the subtree lands on its new server.
-      std::unordered_set<NodeId> extracted;
-      extracted.reserve(records.size());
-      for (const InodeRecord& r : records) extracted.insert(r.id);
-      for (NodeId v : members)
-        if (!extracted.contains(v)) records.push_back(MakeRecord(v));
-      recovered_records_.fetch_add(members.size() - extracted.size(),
-                                   std::memory_order_relaxed);
-    }
-    // The records are now parked in the pending pool — durable by
-    // construction (the backing store can always regenerate them), so
-    // from here the migration rolls *forward* after a crash.
-    WalRecord prepare = intent;
-    prepare.type = WalRecordType::kMigrationPrepare;
-    prepare.count = records.size();
-    monitor_wal_.Append(prepare);
+    ExtractTxnLocked(txn);
     // The migration is a pending-pool round trip (Sec. IV-B): the donor
     // pushes the subtree into the pool, the Monitor grants it to the
     // puller. An unreachable donor (crashed, or Monitor⇄MDS partition)
     // still drains — its lost records were just recovered above.
-    Message push{.type = MsgType::kPendingPoolPush,
-                 .target = subtrees[i].root,
-                 .payload_records = records.size(),
-                 .migration_id = mig_id};
+    const Message push{.type = MsgType::kPendingPoolPush,
+                       .target = subtrees[i].root,
+                       .payload_records = txn.records.size(),
+                       .migration_id = txn.intent.txn_id};
     if (AliveLocked(from))
       SendControl(MdsAddress(from), MonitorAddress(), push, control_policy_,
-                  mig_id);
+                  txn.intent.txn_id);
     if (MaybeCrash(CrashSite::kAfterPrepare)) return moved_records;
-
-    // With a persistent backend the subtree travels as one sealed SSTable
-    // (the kBulkTable leg below) that the destination ingests by file
-    // link-in; otherwise the pull carries the records per-record. A seal
-    // failure silently degrades to the per-record path.
-    const std::string table = SealForShipping("mig", mig_id, records);
-    Message pull = push;
-    if (table.empty()) {
-      pull.type = MsgType::kPendingPoolPull;
-    } else {
-      pull.type = MsgType::kBulkTable;
-      pull.name = table;
-    }
-    if (!SendControl(MonitorAddress(), MdsAddress(to), pull, control_policy_,
-                     mig_id)) {
+    if (!DeliverTxnLocked(txn, MonitorAddress())) {
       // The grant cannot reach the puller (Monitor⇄MDS partition outlasted
-      // every retry): park the migration instead of committing blind. The
-      // records wait in the pool (sealed table included), the member nodes
-      // answer kUnavailable, and the next round re-issues the pull.
-      ParkedMigration mig;
-      mig.id = mig_id;
-      mig.root = subtrees[i].root;
-      mig.from = from;
-      mig.to = to;
-      mig.members = std::move(members);
-      mig.records = std::move(records);
-      mig.table = table;
-      for (NodeId v : mig.members) parked_nodes_.insert(v);
-      parked_.push_back(std::move(mig));
+      // every retry): park the transaction instead of committing blind.
+      // The records wait in the pool (sealed table included), the member
+      // nodes answer kUnavailable, and the next round re-issues the pull.
+      for (NodeId v : txn.members) parked_nodes_.insert(v);
+      parked_.push_back(std::move(txn));
       continue;
     }
-    const bool applied_now =
-        table.empty()
-            ? servers_[to]->ApplyPull(mig_id, records)
-            : servers_[to]->ApplyPullTable(mig_id, table);
-    if (applied_now) {
-      WalRecord applied;
-      applied.type = WalRecordType::kPullApplied;
-      applied.migration_id = mig_id;
-      applied.count = records.size();
-      mds_wals_[to]->Append(applied);
-    } else {
-      duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!table.empty()) {
-      bulk_tables_shipped_.fetch_add(1, std::memory_order_relaxed);
-      bulk_records_shipped_.fetch_add(records.size(),
-                                      std::memory_order_relaxed);
-      std::error_code ec;
-      std::filesystem::remove(table, ec);  // the engine link-in holds it
-    }
-    if (MaybeCrash(CrashSite::kAfterPull)) return moved_records;
-
-    WalRecord commit = intent;
-    commit.type = WalRecordType::kMigrationCommit;
-    monitor_wal_.Append(commit);
-    if (MaybeCrash(CrashSite::kAfterCommitLocal)) return moved_records;
-    moved_records += records.size();
+    if (MaybeCrash(CrashSite::kAfterApply)) return moved_records;
+    CommitTxnLocked(txn);
+    if (MaybeCrash(CrashSite::kAfterCommit)) return moved_records;
+    moved_records += txn.records.size();
   }
   assignment_ = plan.assignment;
   // A repinned subtree's committed owner is its parked grantee, not the
@@ -1308,7 +1114,7 @@ std::size_t FunctionalCluster::RunAdjustmentRound() {
       assignment_.owner[v] = owners_before[i];
     });
   // Round checkpoint: the next recovery replays from this placement plus
-  // whatever migration records follow it.
+  // whatever transaction records follow it.
   JournalPlacementLocked();
   adjustment_rounds_.fetch_add(1, std::memory_order_relaxed);
   return moved_records;
@@ -1414,252 +1220,94 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
   if (stats.torn_tail) monitor_wal_.TruncateTail(stats.torn_bytes);
 
   // 2. Fold the journal into placement, capacities, the GL version and
-  //    the set of in-flight migrations.
+  //    the transaction states — in journal order, so a placement snapshot
+  //    overrides the commits before it and a node renamed twice ends at
+  //    the later name (each application is idempotent).
   const auto& subtrees = scheme_.layers().subtrees;
-  std::unordered_map<NodeId, std::size_t> index_of_root;
-  index_of_root.reserve(subtrees.size());
-  for (std::size_t i = 0; i < subtrees.size(); ++i)
-    index_of_root.emplace(subtrees[i].root, i);
   std::vector<MdsId> owners = scheme_.subtree_owners();  // fallback
+  const auto transfer = [&](const WalRecord& intent) {
+    const std::size_t i = SubtreeIndexOf(subtrees, intent.root);
+    if (intent.from != intent.to && i < owners.size()) owners[i] = intent.to;
+  };
   std::vector<double> caps;
   std::uint64_t gl_version = 1;
-  enum class MigState { kIntent, kPrepared, kCommitted, kAborted };
-  struct Flight {
-    MigState state = MigState::kIntent;
-    NodeId root = kInvalidNode;
-    MdsId from = -1;
-    MdsId to = -1;
-  };
-  std::map<std::uint64_t, Flight> flights;  // ordered: resolve in id order
-  // Rename transactions fold the same way; the flight additionally
-  // carries the post-rename name the WAL made durable at intent.
-  struct RenameFlight {
-    MigState state = MigState::kIntent;
-    NodeId root = kInvalidNode;
-    MdsId from = -1;
-    MdsId to = -1;
-    std::string name;
-    std::string prev_name;
-  };
-  std::map<std::uint64_t, RenameFlight> rename_flights;
-  std::uint64_t max_migration_id = 0;
+  TxnFold fold;
   for (const WalRecord& r : journal) {
-    switch (r.type) {
-      case WalRecordType::kPlacementSnapshot:
-        if (r.owners.size() == owners.size()) owners = r.owners;
-        gl_version = std::max(gl_version, r.version);
-        break;
-      case WalRecordType::kCapacitySnapshot:
-        caps = r.capacities;
-        break;
-      case WalRecordType::kMigrationIntent:
-        flights[r.migration_id] = {MigState::kIntent, r.root, r.from, r.to};
-        max_migration_id = std::max(max_migration_id, r.migration_id);
-        break;
-      case WalRecordType::kMigrationPrepare: {
-        auto it = flights.find(r.migration_id);
-        if (it != flights.end() && it->second.state == MigState::kIntent)
-          it->second.state = MigState::kPrepared;
-        break;
-      }
-      case WalRecordType::kMigrationCommit: {
-        auto it = flights.find(r.migration_id);
-        if (it != flights.end()) {
-          it->second.state = MigState::kCommitted;
-          auto idx = index_of_root.find(it->second.root);
-          if (idx != index_of_root.end()) owners[idx->second] = it->second.to;
-        }
-        break;
-      }
-      case WalRecordType::kMigrationAbort: {
-        auto it = flights.find(r.migration_id);
-        if (it != flights.end()) it->second.state = MigState::kAborted;
-        break;
-      }
-      case WalRecordType::kGlVersion:
-        gl_version = std::max(gl_version, r.version);
-        break;
-      case WalRecordType::kRenameIntent:
-        rename_flights[r.migration_id] = {MigState::kIntent, r.root, r.from,
-                                          r.to, r.name, r.prev_name};
-        max_migration_id = std::max(max_migration_id, r.migration_id);
-        break;
-      case WalRecordType::kRenamePrepare: {
-        auto it = rename_flights.find(r.migration_id);
-        if (it != rename_flights.end() &&
-            it->second.state == MigState::kIntent)
-          it->second.state = MigState::kPrepared;
-        break;
-      }
-      case WalRecordType::kRenameCommit: {
-        auto it = rename_flights.find(r.migration_id);
-        if (it != rename_flights.end()) {
-          it->second.state = MigState::kCommitted;
-          // Re-apply in journal order — a node renamed twice must end at
-          // the later name; each application is idempotent.
-          ApplyRenameLocked(it->second.root, it->second.name);
-          if (it->second.from != it->second.to) {
-            auto idx = index_of_root.find(it->second.root);
-            if (idx != index_of_root.end())
-              owners[idx->second] = it->second.to;
-          }
-        }
-        break;
-      }
-      case WalRecordType::kRenameAbort: {
-        auto it = rename_flights.find(r.migration_id);
-        if (it != rename_flights.end())
-          it->second.state = MigState::kAborted;
-        break;
-      }
-      case WalRecordType::kPullApplied:
-        break;  // MDS-side record type; never in the Monitor's journal
+    const TxnFold::Txn* txn = fold.Apply(r);
+    if (r.type == WalRecordType::kPlacementSnapshot) {
+      if (r.owners.size() == owners.size()) owners = r.owners;
+      gl_version = std::max(gl_version, r.version);
+    } else if (r.type == WalRecordType::kCapacitySnapshot) {
+      caps = r.capacities;
+    } else if (r.type == WalRecordType::kGlVersion) {
+      gl_version = std::max(gl_version, r.version);
+    } else if (r.type == WalRecordType::kTxnCommit && txn != nullptr) {
+      if (!txn->intent.name.empty())
+        ApplyRenameLocked(txn->intent.root, txn->intent.name);
+      transfer(txn->intent);
     }
   }
 
-  // 3. Resolve in-flight migrations. Intent-only: nothing had moved, the
-  //    subtree stays with its donor — journal the abort. Prepared or
-  //    later: the records were durably parked in the pending pool — land
-  //    them at the grantee and journal the commit. Both decisions are
-  //    idempotent under re-replay (a crash *during* recovery resolves to
-  //    the same outcome).
-  for (auto& [id, flight] : flights) {
-    if (flight.state == MigState::kIntent) {
-      WalRecord abort;
-      abort.type = WalRecordType::kMigrationAbort;
-      abort.migration_id = id;
-      abort.root = flight.root;
-      abort.from = flight.from;
-      abort.to = flight.to;
-      monitor_wal_.Append(abort);
-      ++report.migrations_rolled_back;
-    } else if (flight.state == MigState::kPrepared) {
-      auto idx = index_of_root.find(flight.root);
-      if (idx != index_of_root.end()) owners[idx->second] = flight.to;
-      WalRecord commit;
-      commit.type = WalRecordType::kMigrationCommit;
-      commit.migration_id = id;
-      commit.root = flight.root;
-      commit.from = flight.from;
-      commit.to = flight.to;
-      monitor_wal_.Append(commit);
-      if (flight.to >= 0 &&
-          static_cast<std::size_t>(flight.to) < mds_wals_.size()) {
-        // The grantee may have journaled the pull before the crash (the
-        // crash hit between its journal append and the Monitor's commit):
-        // dedup on its own WAL decides whether this is a re-delivery.
-        bool already_applied = false;
-        for (const WalRecord& r : mds_wals_[flight.to]->Replay())
-          if (r.type == WalRecordType::kPullApplied && r.migration_id == id)
-            already_applied = true;
-        if (already_applied) {
-          duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          WalRecord applied;
-          applied.type = WalRecordType::kPullApplied;
-          applied.migration_id = id;
-          mds_wals_[flight.to]->Append(applied);
-        }
-      }
-      ++report.migrations_rolled_forward;
-    }
-  }
-
-  // 3b. Resolve in-flight renames the same way. Intent-only: the
-  //     namespace never changed — journal the abort. Prepared or later:
-  //     the WAL carries the new name and destination, so apply the rename
-  //     to the backing tree, flip ownership, bump the GL version (cached
-  //     client indexes must invalidate) and journal the commit; the store
-  //     rebuild below rematerializes every record at its post-rename
-  //     truth. Both decisions are idempotent under re-replay.
-  for (auto& [id, flight] : rename_flights) {
-    if (flight.state == MigState::kIntent) {
-      // A torn PREPARE can demote a transaction whose apply step already
-      // ran: the journal's authority says rolled back, so the namespace
-      // must match — restore the pre-rename name the INTENT made durable.
-      if (!flight.prev_name.empty())
-        ApplyRenameLocked(flight.root, flight.prev_name);
-      WalRecord abort;
-      abort.type = WalRecordType::kRenameAbort;
-      abort.migration_id = id;
-      abort.root = flight.root;
-      abort.from = flight.from;
-      abort.to = flight.to;
-      abort.name = flight.name;
-      abort.prev_name = flight.prev_name;
-      monitor_wal_.Append(abort);
-      renames_aborted_.fetch_add(1, std::memory_order_relaxed);
-      ++report.renames_rolled_back;
-    } else if (flight.state == MigState::kPrepared) {
-      ApplyRenameLocked(flight.root, flight.name);
-      if (flight.from != flight.to) {
-        auto idx = index_of_root.find(flight.root);
-        if (idx != index_of_root.end()) owners[idx->second] = flight.to;
-        if (flight.to >= 0 &&
-            static_cast<std::size_t>(flight.to) < mds_wals_.size()) {
-          // The destination may have journaled the transfer before the
-          // crash: dedup on its own WAL, exactly like a migration pull.
-          bool already_applied = false;
-          for (const WalRecord& r : mds_wals_[flight.to]->Replay())
-            if (r.type == WalRecordType::kPullApplied && r.migration_id == id)
-              already_applied = true;
-          if (already_applied) {
-            duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            WalRecord applied;
-            applied.type = WalRecordType::kPullApplied;
-            applied.migration_id = id;
-            mds_wals_[flight.to]->Append(applied);
-          }
-        }
-      }
-      ++gl_version;
-      WalRecord bump;
-      bump.type = WalRecordType::kGlVersion;
-      bump.root = flight.root;
-      bump.version = gl_version;
-      monitor_wal_.Append(bump);
-      WalRecord commit;
-      commit.type = WalRecordType::kRenameCommit;
-      commit.migration_id = id;
-      commit.root = flight.root;
-      commit.from = flight.from;
-      commit.to = flight.to;
-      commit.name = flight.name;
-      commit.prev_name = flight.prev_name;
-      commit.version = gl_version;
-      monitor_wal_.Append(commit);
-      renames_committed_.fetch_add(1, std::memory_order_relaxed);
-      ++report.renames_rolled_forward;
-    }
-  }
-
-  // 4. Rebuild the volatile world at the recovered placement. Every store
-  //    was lost in the crash; the namespace itself is durable, so local
-  //    records re-materialize from the backing store and GL replicas
-  //    rebuild at the recovered master version.
-  next_migration_id_ = std::max(next_migration_id_, max_migration_id + 1);
-  parked_.clear();
-  parked_nodes_.clear();
+  // 3. Restart every server from its durable state. A persistent local
+  //    store replays its engine WAL with torn-tail truncation (the crash
+  //    may have cut a group-commit frame mid-append — MaybeCrash injects
+  //    exactly that) and gets its sealed tables back as written; the
+  //    pull-dedup sets are rebuilt from each server's own journal, so a
+  //    pull retransmitted across the crash is still dropped. Sealed tables
+  //    of handoffs in flight at the crash are orphans now.
   const bool persistent = store_spec_.persistent();
   for (auto& server : servers_) {
-    // A persistent local store restarts from its durable state: the engine
-    // WAL is replayed with torn-tail truncation (the crash may have cut a
-    // group-commit frame mid-append — MaybeCrash injects exactly that)
-    // and the sealed tables come back as written.
     const StoreRecoveryInfo info = server->LoseVolatileState(persistent);
     if (info.wal_torn_tail) ++report.store_wals_torn;
     report.store_wal_records_replayed += info.wal_records_replayed;
     server->set_gl_version(0);
+    RestoreAppliedPullsLocked(server->id());
   }
   if (persistent) {
-    // Sealed tables of handoffs in flight at the crash are orphans now —
-    // the records rematerialize from the backing store below.
     std::error_code ec;
     std::filesystem::remove_all(store_spec_.data_dir + "/ship", ec);
     std::filesystem::create_directories(store_spec_.data_dir + "/ship", ec);
   }
   gl_master_version_.store(gl_version, std::memory_order_release);
+
+  // 4. Resolve in-flight transactions. Intent-only: nothing had moved —
+  //    journal the abort (a torn PREPARE can demote a rename whose apply
+  //    step already ran, so restore the journaled pre-rename name).
+  //    Prepared or later: the records were durably parked in the pending
+  //    pool and the WAL carries the destination and new name — apply the
+  //    rename, re-point ownership, re-deliver the transfer (its records
+  //    rematerialize below; the destination's dedup set drops it if it
+  //    journaled the pull before the crash), bump the GL version of a
+  //    rename (cached client indexes must invalidate) and journal the
+  //    commit. Both decisions are idempotent under re-replay (a crash
+  //    *during* recovery resolves to the same outcome).
+  for (const auto& [id, txn] : fold.txns()) {
+    const WalRecord& intent = txn.intent;
+    if (txn.state == TxnFold::State::kIntent) {
+      if (!intent.prev_name.empty())
+        ApplyRenameLocked(intent.root, intent.prev_name);
+      JournalTxn(intent, WalRecordType::kTxnAbort);
+      ++report.txns_rolled_back;
+    } else if (txn.state == TxnFold::State::kPrepared) {
+      if (!intent.name.empty()) ApplyRenameLocked(intent.root, intent.name);
+      transfer(intent);
+      if (intent.from != intent.to && KnownLocked(intent.to))
+        NoteTransferLocked(intent.to, id, 0,
+                           servers_[intent.to]->ApplyPull(id, {}));
+      JournalTxn(intent, WalRecordType::kTxnCommit, 0,
+                 intent.name.empty() ? 0 : BumpGlVersionLocked(intent.root));
+      ++report.txns_rolled_forward;
+    }
+  }
+
+  // 5. Rebuild the volatile world at the recovered placement. Every store
+  //    was lost in the crash; the namespace itself is durable, so local
+  //    records re-materialize from the backing store and GL replicas
+  //    rebuild at the recovered master version.
+  if (!fold.txns().empty())
+    next_txn_id_ = std::max(next_txn_id_, fold.txns().rbegin()->first + 1);
+  parked_.clear();
+  parked_nodes_.clear();
   if (caps.size() == capacities_.capacities.size())
     capacities_.capacities = caps;
   for (std::size_t i = 0; i < subtrees.size() && i < owners.size(); ++i)
@@ -1671,51 +1319,17 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
     tree_.VisitSubtree(subtrees[i].root,
                        [&](NodeId v) { assignment_.owner[v] = owner; });
   }
-  for (const auto& server : servers_)
-    if (server->alive()) RebuildGlReplicaLocked(server->id());
-  if (persistent) {
-    // Durable records the recovered placement no longer puts here are
-    // dropped before the fill below (the migration that moved them away
-    // committed; their new owner rematerializes them).
-    for (auto& server : servers_) {
-      if (!server->alive()) continue;
-      const MdsId sid = server->id();
-      for (NodeId held : server->local().HeldIds()) {
-        if (held >= tree_.size() || assignment_.IsReplicated(held) ||
-            assignment_.OwnerOf(held) != sid) {
-          server->local().Remove(held);
-        }
-      }
-    }
+  for (const auto& server : servers_) {
+    if (!server->alive()) continue;
+    RebuildGlReplicaLocked(server->id());
+    report.records_rematerialized += ReconcileLocalStoreLocked(server->id());
   }
-  std::size_t rematerialized = 0;
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    const MdsId owner = assignment_.OwnerOf(id);
-    if (owner == kReplicated || !AliveLocked(owner)) continue;
-    const InodeRecord record = MakeRecord(id);
-    const auto held = servers_[owner]->local().Get(id);
-    if (held.has_value() && held->name == record.name &&
-        held->parent == record.parent && held->type == record.type) {
-      continue;  // survived in the durable store, mutations intact
-    }
-    servers_[owner]->local().Put(record);
-    ++rematerialized;
-  }
-  report.records_rematerialized = rematerialized;
-  recovered_records_.fetch_add(rematerialized, std::memory_order_relaxed);
-  // Pull-dedup sets are rebuilt from each server's own journal, so a pull
-  // retransmitted across the crash is still dropped.
-  for (std::size_t k = 0; k < servers_.size(); ++k) {
-    std::vector<std::uint64_t> applied;
-    for (const WalRecord& r : mds_wals_[k]->Replay())
-      if (r.type == WalRecordType::kPullApplied)
-        applied.push_back(r.migration_id);
-    servers_[k]->RestoreAppliedPulls(applied);
-  }
+  recovered_records_.fetch_add(report.records_rematerialized,
+                               std::memory_order_relaxed);
   // Fresh checkpoint: the next crash replays from here instead of from
   // genesis.
   JournalPlacementLocked();
-  report.gl_version = gl_version;
+  report.gl_version = gl_master_version_.load(std::memory_order_acquire);
   crashed_.store(false, std::memory_order_release);
   recoveries_.fetch_add(1, std::memory_order_relaxed);
   return report;

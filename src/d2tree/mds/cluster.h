@@ -44,21 +44,22 @@
 // Durability & crash recovery (DESIGN.md §7): the Monitor journals every
 // control-plane state transition to an append-only WAL (durability/wal.h)
 // *before* applying it — capacity/placement checkpoints, global-layer
-// version bumps, and the two-phase subtree handoff as INTENT → PREPARE →
-// COMMIT records keyed by a monotonically assigned migration id. Each MDS
-// keeps its own journal of applied pulls, so re-delivered pulls are
-// deduplicated even across restarts. ArmCrash plants a one-shot crash at a
-// named protocol site (durability/crash_point.h), optionally tearing the
-// last WAL record like a real mid-append power cut; once it fires the
+// version bumps, and every subtree transfer — a migration or a rename — as
+// one transaction of INTENT → PREPARE → COMMIT records keyed by a
+// monotonically assigned txn id. Each MDS keeps its own journal of applied
+// transfers, so re-delivered pulls are deduplicated even across restarts.
+// ArmCrash plants a one-shot crash at a named protocol site
+// (durability/crash_point.h), optionally tearing the last WAL record
+// like a real mid-append power cut; once it fires the
 // whole metadata service is down — every client op returns kUnavailable —
-// until Recover() replays the WAL, rolls in-flight migrations forward
+// until Recover() replays the WAL, rolls in-flight transactions forward
 // (prepared or later) or back (intent only), rebuilds every volatile
 // store from the backing namespace, and resynchronizes the planner with
 // the recovered placement. A pull the network refuses to deliver
 // (Monitor⇄MDS partition) parks its migration: the records wait in the
 // pending pool, the subtree is pinned to its grantee (routing answers
 // kUnavailable for its nodes), and the next adjustment round re-issues
-// the pull — receiver dedup on the migration id makes the re-delivery
+// the pull — receiver dedup on the txn id makes the re-delivery
 // safe, so a healed partition can never double-assign the subtree.
 // Control-plane messages ride a RetryPolicy (net/retry.h): capped
 // exponential backoff with seeded jitter charged as simulated latency,
@@ -103,6 +104,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -199,11 +201,12 @@ class FunctionalCluster {
   /// live replica before returning (Sec. IV-A3).
   ClientResult Update(const std::string& path, std::uint64_t mtime);
 
-  // --- Atomic rename transactions (DESIGN.md §8). ---
+  // --- Renames: subtree-transfer transactions with a name change
+  // --- (DESIGN.md §7). ---
 
   struct RenameResult {
     MdsStatus status = MdsStatus::kNotFound;
-    /// Transaction id (shared monotone counter with migration ids);
+    /// Transaction id (the one counter every transfer draws from);
     /// 0 when the transaction never started (validation failure).
     std::uint64_t rename_id = 0;
     /// True when the transaction re-homed the subtree to another MDS.
@@ -216,8 +219,8 @@ class FunctionalCluster {
   };
 
   /// Renames `path`'s final component in place, as one journaled
-  /// transaction (kRenameIntent → kRenamePrepare → apply →
-  /// kRenameCommit): a GL-resident target updates every live replica
+  /// transaction with from == to (INTENT → PREPARE → apply → COMMIT,
+  /// nothing transferred): a GL-resident target updates every live replica
   /// under the GL write lock; a local-layer target mutates at its owner.
   /// Either way the commit bumps the GL master version so cached client
   /// indexes and leases invalidate. No records change owner — the
@@ -225,9 +228,10 @@ class FunctionalCluster {
   RenameResult Rename(const std::string& path, const std::string& new_name);
 
   /// Cross-MDS rename: renames `path` AND re-homes its subtree to `dest`
-  /// in the same two-phase transaction (the source owner parks the
-  /// subtree records, the destination applies them under a deduplicated
-  /// rename id, ownership indexes and the GL version flip at commit).
+  /// in the same transaction a migration runs (the source owner extracts
+  /// the subtree records, the destination applies them under a
+  /// deduplicated txn id, ownership indexes and the GL version flip at
+  /// commit) — but an undeliverable transfer aborts instead of parking.
   /// `path` must root a registered local-layer subtree — the unit of
   /// distribution — and `dest` must be alive; kNotPermitted otherwise.
   /// This is the operation hash-keyed schemes pay for on every directory
@@ -316,19 +320,16 @@ class FunctionalCluster {
     std::size_t wal_records_replayed = 0;
     bool torn_tail_detected = false;
     std::size_t torn_bytes_discarded = 0;
-    /// Prepared-but-uncommitted migrations completed at their grantee.
-    std::size_t migrations_rolled_forward = 0;
-    /// Intent-only migrations aborted (nothing had moved).
-    std::size_t migrations_rolled_back = 0;
+    /// Prepared-but-uncommitted transactions completed at their grantee
+    /// (a rename's name applied and the GL version bumped).
+    std::size_t txns_rolled_forward = 0;
+    /// Intent-only transactions aborted (nothing had moved; a rename's
+    /// pre-rename name restored).
+    std::size_t txns_rolled_back = 0;
     /// Records rebuilt into local stores from the backing namespace.
     std::size_t records_rematerialized = 0;
     /// GL master version recovered from the WAL.
     std::uint64_t gl_version = 0;
-    /// Prepared-but-uncommitted renames completed (name + ownership
-    /// applied, commit journaled).
-    std::size_t renames_rolled_forward = 0;
-    /// Intent-only renames aborted (name and ownership unchanged).
-    std::size_t renames_rolled_back = 0;
     /// Persistent-store replay (LSM backend only; zero on memory stores):
     /// local-store WALs whose tail was torn mid-append and truncated, and
     /// the total memtable records their group-commit WALs replayed.
@@ -337,8 +338,9 @@ class FunctionalCluster {
   };
 
   /// Restarts the metadata service after a crash: replays the Monitor WAL
-  /// (truncating any torn tail), resolves in-flight migrations — intent
-  /// only → journaled abort, prepared or later → journaled commit at the
+  /// (truncating any torn tail), folds it through the same TxnFold d2fsck
+  /// audits with, resolves in-flight transactions — intent only →
+  /// journaled abort, prepared or later → journaled commit at the
   /// grantee — rebuilds every volatile store from the backing namespace at
   /// the recovered placement, restores each MDS's pull-dedup set from its
   /// own journal, resynchronizes the planner, and writes a fresh placement
@@ -356,11 +358,13 @@ class FunctionalCluster {
     return *mds_wals_[static_cast<std::size_t>(id)];
   }
 
-  /// Migrations whose pull is parked in the pending pool awaiting a
+  /// Transactions whose pull is parked in the pending pool awaiting a
   /// deliverable link, and a snapshot of their member nodes (d2fsck).
-  std::size_t parked_migration_count() const {
+  std::vector<std::uint64_t> ParkedTxnIds() const {
     ReaderMutexLock topo(&topo_mu_);
-    return parked_.size();
+    std::vector<std::uint64_t> ids;
+    for (const Txn& txn : parked_) ids.push_back(txn.intent.txn_id);
+    return ids;
   }
   std::vector<NodeId> ParkedNodes() const {
     ReaderMutexLock topo(&topo_mu_);
@@ -417,7 +421,7 @@ class FunctionalCluster {
   std::uint64_t deadline_exceeded_total() const noexcept {
     return deadline_exceeded_total_.load();
   }
-  /// Re-delivered pulls the receiver dropped via migration-id dedup — each
+  /// Re-delivered pulls the receiver dropped via txn-id dedup — each
   /// one is a double-apply that did not happen.
   std::uint64_t duplicate_pulls_dropped() const noexcept {
     return duplicate_pulls_dropped_.load();
@@ -440,8 +444,8 @@ class FunctionalCluster {
     return recoveries_.load();
   }
 
-  /// Rename transactions that reached kRenameCommit / kRenameAbort
-  /// (live runs and recovery resolutions both count).
+  /// Rename transactions that committed / aborted (live runs and
+  /// recovery resolutions both count).
   std::uint64_t renames_committed() const noexcept {
     return renames_committed_.load();
   }
@@ -465,15 +469,26 @@ class FunctionalCluster {
   /// `at`, drives the server-side handler, pays forward/failover legs and
   /// fills the per-op telemetry.
   ClientResult StatAt(NodeId target, MdsId at) D2T_REQUIRES_SHARED(topo_mu_);
+  /// Ends a client op in an outage: counts the failover redirect (the
+  /// client invalidates its cached route) and fills the verdict.
+  ClientResult& Unavailable(ClientResult& out, DeliveryError error) noexcept {
+    failover_redirects_.fetch_add(1, std::memory_order_relaxed);
+    out.status = MdsStatus::kUnavailable;
+    out.op_class = OpClass::kFailover;
+    out.net_error = error;
+    return out;
+  }
   /// Accounts one control-plane leg (heartbeat/migration/rebuild traffic).
   void AccountControl(const Delivery& d) noexcept {
     control_ns_.fetch_add(static_cast<std::uint64_t>(d.latency_us * 1e3),
                           std::memory_order_relaxed);
   }
-  /// Liveness check.
+  /// Membership and liveness checks.
+  bool KnownLocked(MdsId mds) const D2T_REQUIRES_SHARED(topo_mu_) {
+    return mds >= 0 && static_cast<std::size_t>(mds) < servers_.size();
+  }
   bool AliveLocked(MdsId mds) const D2T_REQUIRES_SHARED(topo_mu_) {
-    return mds >= 0 && static_cast<std::size_t>(mds) < servers_.size() &&
-           servers_[mds]->alive();
+    return KnownLocked(mds) && servers_[mds]->alive();
   }
   MdsId AnyAliveLocked() const D2T_REQUIRES_SHARED(topo_mu_);
   std::size_t AliveCountLocked() const D2T_REQUIRES_SHARED(topo_mu_);
@@ -485,6 +500,21 @@ class FunctionalCluster {
   MdsCluster CollectHeartbeats() D2T_REQUIRES(topo_mu_);
   /// Re-fills `mds`'s GL replica at the master version.
   void RebuildGlReplicaLocked(MdsId mds) D2T_REQUIRES(topo_mu_, gl_mu_);
+  /// Brings `mds`'s local store in line with the placement: drops durable
+  /// records placed elsewhere (persistent backend), fills missing or stale
+  /// ones from the backing store. Returns the records filled.
+  std::size_t ReconcileLocalStoreLocked(MdsId mds) D2T_REQUIRES(topo_mu_);
+  /// Rebuilds `mds`'s pull-dedup set from its own journal.
+  void RestoreAppliedPullsLocked(MdsId mds) D2T_REQUIRES(topo_mu_);
+  /// Journals the next GL master version (before any replica applies
+  /// it), publishes it and returns it.
+  std::uint64_t BumpGlVersionLocked(NodeId root) D2T_REQUIRES(gl_mu_);
+  /// Sends `msg` from `coord` to every other live server, applies `apply`
+  /// to each live GL replica and moves it to the master version. Returns
+  /// the slowest leg's latency (the legs fan out concurrently).
+  double BroadcastGlLocked(MdsId coord, const Message& msg,
+                           const std::function<void(MetadataStore&)>& apply)
+      D2T_REQUIRES_SHARED(topo_mu_) D2T_REQUIRES(gl_mu_);
   /// Control-plane send under `policy`: retries with capped backoff,
   /// charges the accumulated simulated latency to control_ns_ and the
   /// retry/deadline counters, returns the final delivery verdict.
@@ -501,13 +531,56 @@ class FunctionalCluster {
   void JournalPlacementLocked() D2T_REQUIRES(topo_mu_);
   /// Checkpoints the configured per-MDS capacities to the WAL.
   void JournalCapacitiesLocked() D2T_REQUIRES(topo_mu_);
-  /// Re-issues the pull of every parked migration whose link heals;
+  /// Re-issues the pull of every parked transaction whose link heals;
   /// aborts those whose grantee died. Returns records delivered.
   std::size_t CompleteParkedLocked() D2T_REQUIRES(topo_mu_);
-  /// The rename transaction driver behind Rename/RenameTo (DESIGN.md §8).
-  /// `dest` empty = in-place rename; set = cross-server re-home.
+  /// The rename driver behind Rename/RenameTo. `dest` empty = in-place
+  /// rename; set = cross-server re-home.
   RenameResult RenameImpl(const std::string& path, const std::string& new_name,
                           std::optional<MdsId> dest);
+
+  // --- The subtree-transfer transaction (DESIGN.md §7): the steps the
+  // --- adjustment round, the parked re-issue and the rename all share.
+
+  /// One transaction in flight. Every record it journals is a copy of
+  /// `intent` (id, root, from → to, a rename's name pair).
+  struct Txn {
+    WalRecord intent;
+    std::vector<NodeId> members;
+    std::vector<InodeRecord> records;
+    /// Sealed SSTable in the ship directory (persistent backend; a
+    /// re-issued pull re-sends it), or empty on the per-record path.
+    std::string table;
+  };
+  /// Assigns the next txn id and journals INTENT.
+  Txn BeginTxnLocked(NodeId root, MdsId from, MdsId to, std::string name = {},
+                     std::string prev_name = {}) D2T_REQUIRES(topo_mu_);
+  /// For a transfer (from != to): extracts the subtree's records from
+  /// `from` (lost ones rebuilt from the backing store, a rename's new name
+  /// pre-applied). Then journals PREPARE.
+  void ExtractTxnLocked(Txn& txn) D2T_REQUIRES(topo_mu_);
+  /// Ships the records `sender` → `to` (one sealed table when the backend
+  /// allows, else a per-record pull) under the control-plane retry
+  /// policy. False when undeliverable; otherwise the destination applies
+  /// them at most once (dedup on the txn id).
+  bool DeliverTxnLocked(Txn& txn, const Address& sender)
+      D2T_REQUIRES(topo_mu_);
+  /// Counts a transfer the destination `to` applied (journals
+  /// kPullApplied, `count` records) or dropped as a duplicate.
+  void NoteTransferLocked(MdsId to, std::uint64_t id, std::size_t count,
+                          bool applied_now) D2T_REQUIRES(topo_mu_);
+  /// Journals COMMIT (`version` = GL version a rename bumped), moves
+  /// ownership of a transferred subtree to `to` and unpins it.
+  void CommitTxnLocked(const Txn& txn, std::uint64_t version = 0)
+      D2T_REQUIRES(topo_mu_);
+  /// Journals ABORT, drops any sealed table, unpins the subtree and hands
+  /// the records (pre-rename name restored) back to the subtree's owner if
+  /// it is alive; otherwise the backing store regenerates them later.
+  void AbortTxnLocked(Txn& txn) D2T_REQUIRES(topo_mu_);
+  /// Journals a copy of `intent` as a `type` record (and counts a
+  /// rename's terminal record).
+  void JournalTxn(const WalRecord& intent, WalRecordType type,
+                  std::uint64_t count = 0, std::uint64_t version = 0);
   /// Idempotently applies a committed/rolled-forward rename to the
   /// backing tree. False (skip) if another node already holds the name —
   /// only reachable replaying a journal against a later namespace.
@@ -517,14 +590,6 @@ class FunctionalCluster {
   /// Per-server local-store spec: `store_spec_.data_dir/mds<k>` is server
   /// k's engine root. Set once in the ctor, then read-only.
   StoreSpec ServerStoreSpec(MdsId id) const;
-  /// Scratch path for a sealed subtree table in flight (`<data_dir>/ship/
-  /// <kind><id>.sst`); callers remove the file once ingested or aborted.
-  std::string ShipPath(const char* kind, std::uint64_t id) const;
-  /// Seals `records` into ShipPath(kind, id) when the bulk path is on.
-  /// Returns the table path, or "" (per-record fallback: memory backend,
-  /// or the seal failed).
-  std::string SealForShipping(const char* kind, std::uint64_t id,
-                              const std::vector<InodeRecord>& records) const;
 
   // tree_ is protocol-guarded, not capability-guarded — see the threading
   // contract at the top of this file.
@@ -551,23 +616,11 @@ class FunctionalCluster {
   // --- the per-MDS journals live behind topo_mu_ like the servers.
   Wal monitor_wal_;
   std::vector<std::unique_ptr<Wal>> mds_wals_ D2T_GUARDED_BY(topo_mu_);
-  std::uint64_t next_migration_id_ D2T_GUARDED_BY(topo_mu_) = 1;
-  /// A handoff whose pull the network refused to deliver: records wait in
-  /// the pending pool, member nodes are pinned unreachable, the next
-  /// round re-issues the pull (or aborts if the grantee died).
-  struct ParkedMigration {
-    std::uint64_t id = 0;
-    NodeId root = kInvalidNode;
-    MdsId from = -1;
-    MdsId to = -1;
-    std::vector<NodeId> members;
-    std::vector<InodeRecord> records;
-    /// Sealed-table handoff (persistent backend): the SSTable waiting in
-    /// the ship directory; re-issued pulls re-send this file. Empty on
-    /// the per-record path.
-    std::string table;
-  };
-  std::vector<ParkedMigration> parked_ D2T_GUARDED_BY(topo_mu_);
+  std::uint64_t next_txn_id_ D2T_GUARDED_BY(topo_mu_) = 1;
+  /// Transactions whose pull the network refused to deliver: records
+  /// wait in the pending pool, member nodes are pinned unreachable, the
+  /// next round re-issues the pull (or aborts if the grantee died).
+  std::vector<Txn> parked_ D2T_GUARDED_BY(topo_mu_);
   std::unordered_set<NodeId> parked_nodes_ D2T_GUARDED_BY(topo_mu_);
   /// Default control-plane retry discipline (set once, then read-only).
   RetryPolicy control_policy_{};

@@ -53,11 +53,6 @@ bool MdsServer::ApplyPullTable(std::uint64_t migration_id,
   return true;
 }
 
-bool MdsServer::HasAppliedPull(std::uint64_t migration_id) const {
-  MutexLock lock(&pulls_mu_);
-  return applied_pulls_.contains(migration_id);
-}
-
 void MdsServer::RestoreAppliedPulls(const std::vector<std::uint64_t>& ids) {
   MutexLock lock(&pulls_mu_);
   applied_pulls_.insert(ids.begin(), ids.end());

@@ -89,9 +89,6 @@ class MdsServer {
   bool ApplyPullTable(std::uint64_t migration_id, const std::string& path,
                       std::size_t* records_ingested = nullptr);
 
-  /// True when `migration_id` has been applied here (dedup probe).
-  bool HasAppliedPull(std::uint64_t migration_id) const;
-
   /// Restores the applied-pull dedup set from a WAL replay (crash
   /// recovery: the ids come from this server's journaled kPullApplied
   /// records, so re-delivered pulls stay deduplicated across restarts).

@@ -73,7 +73,7 @@ class MetadataStore {
   /// Snapshot of all held ids (audit/consistency checks), ascending.
   std::vector<NodeId> HeldIds() const;
 
-  // --- bulk subtree shipping (DESIGN.md §11) -----------------------------
+  // --- bulk subtree shipping (DESIGN.md §10) -----------------------------
 
   /// Extracts the given subtree and seals it into one SSTable at `path`
   /// (migration/rename PREPARE). Returns the number of records sealed;

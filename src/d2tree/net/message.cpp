@@ -28,12 +28,6 @@ const char* MsgTypeName(MsgType type) {
       return "rename-req";
     case MsgType::kRenameResponse:
       return "rename-resp";
-    case MsgType::kRenamePrepare:
-      return "rename-prepare";
-    case MsgType::kRenameCommit:
-      return "rename-commit";
-    case MsgType::kRenameAbort:
-      return "rename-abort";
     case MsgType::kBulkTable:
       return "bulk-table";
   }

@@ -45,23 +45,24 @@ enum class MsgType : std::uint8_t {
   kForward,          // MDS → MDS: wrong server, hand the request on
   kHeartbeat,        // MDS → Monitor: load report (its absence = failure)
   kPendingPoolPush,  // MDS → Monitor: offload a subtree into the pool
-  kPendingPoolPull,  // Monitor → MDS: subtree granted to a puller
+  kPendingPoolPull,  // → MDS: a subtree transfer's records (a migration
+                     // grant from the Monitor, or a rename's direct
+                     // source → destination leg)
   kGlWriteLock,      // MDS ⇄ Monitor: global-layer write-lock round
-  kGlCommit,         // MDS → MDS: locked GL update / replica rebuild data
-  /// Atomic rename transaction legs (DESIGN.md §8). The rename id rides
-  /// in `migration_id` — both protocols draw from the same monotone
-  /// counter and the destination deduplicates on it.
+  kGlCommit,         // MDS → MDS: GL update / version broadcast / replica
+                     // rebuild data
   kRenameRequest,    // client → MDS: rename `target` (new name in-process)
   kRenameResponse,   // MDS → client: transaction outcome
-  kRenamePrepare,    // source MDS → destination MDS: parked subtree records
-  kRenameCommit,     // Monitor → MDS: rename durable, GL version bumped
-  kRenameAbort,      // Monitor → MDS: transaction rolled back
   /// Bulk subtree handoff: one sealed SSTable replaces the per-record
-  /// stream of a migration/rename transfer. `name` carries the table
+  /// kPendingPoolPull of a subtree transfer. `name` carries the table
   /// path, `payload_records` the record count; the receiver ingests by
   /// file link-in (O(1) in record count) and dedups on `migration_id`.
-  kBulkTable,        // source MDS → destination MDS: sealed table handoff
+  kBulkTable,        // sender → destination MDS: sealed table handoff
 };
+/// Message types a decoder accepts: type bytes at or past this are
+/// malformed.
+inline constexpr std::size_t kMsgTypeCount =
+    static_cast<std::size_t>(MsgType::kBulkTable) + 1;
 
 const char* MsgTypeName(MsgType type);
 const char* PeerKindName(PeerKind kind);
@@ -79,7 +80,7 @@ struct Message {
   std::uint64_t mtime = 0;            // update payload
   MdsStatus status = MdsStatus::kOk;  // responses
   std::size_t payload_records = 0;    // bulk transfers (migration, rebuild)
-  /// Pending-pool push/pull: the two-phase handoff's migration id. The
+  /// Subtree transfer (push/pull/bulk legs): the transaction id. The
   /// receiver journals and deduplicates on it, so a retransmitted pull
   /// (retry/backoff discipline, net/retry.h) is applied at most once.
   std::uint64_t migration_id = 0;

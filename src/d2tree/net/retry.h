@@ -9,7 +9,7 @@
 // attempt count and a per-operation deadline on *simulated* time — the
 // backoff is charged as latency, not slept, so tests stay fast and runs
 // stay reproducible. Retries are only safe because receivers deduplicate:
-// pending-pool pulls carry a migration id the receiving MDS journals and
+// subtree transfers carry a txn id the receiving MDS journals and
 // checks (MdsServer::ApplyPull), so a re-delivered pull is dropped, never
 // double-applied.
 #pragma once
@@ -54,7 +54,7 @@ struct RetryOutcome {
 };
 
 /// Sends `msg` under `policy`. `nonce` decorrelates the jitter of
-/// concurrent callers (use the migration id, target id, or a counter);
+/// concurrent callers (use the txn id, target id, or a counter);
 /// the same (policy seed, nonce, link fate) always replays identically.
 RetryOutcome SendWithRetry(Transport& transport, const Address& from,
                            const Address& to, const Message& msg,

@@ -1,4 +1,4 @@
-// SocketTransport — the message path over real TCP sockets (DESIGN.md §10).
+// SocketTransport — the message path over real TCP sockets (DESIGN.md §9).
 //
 // A single epoll event-loop thread owns every file descriptor (listeners,
 // accepted server connections, pooled client connections); a bounded pool

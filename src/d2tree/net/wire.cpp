@@ -154,7 +154,7 @@ std::optional<WireEnvelope> DecodeBody(const std::uint8_t* data,
 
   const std::uint8_t type = r.U8();
   const std::uint8_t status = r.U8();
-  if (!r.ok() || type > static_cast<std::uint8_t>(MsgType::kBulkTable) ||
+  if (!r.ok() || type >= kMsgTypeCount ||
       status > static_cast<std::uint8_t>(MdsStatus::kUnavailable))
     return std::nullopt;
   env.msg.type = static_cast<MsgType>(type);

@@ -1,4 +1,4 @@
-// Wire codec for the socket transport (DESIGN.md §10).
+// Wire codec for the socket transport (DESIGN.md §9).
 //
 // Every frame on a TCP connection is length-prefixed and CRC-framed with
 // the same discipline as the WAL (durability/wal.h):
@@ -34,7 +34,9 @@
 
 namespace d2tree {
 
-inline constexpr std::uint8_t kWireVersion = 1;
+/// Version 2 dropped three rename-only message types, renumbering
+/// kBulkTable; a version-1 peer's frames are rejected, never misread.
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Frame header: u32 body length + u32 CRC32(body).
 inline constexpr std::size_t kWireHeaderBytes = 8;
 

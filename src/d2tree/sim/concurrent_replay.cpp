@@ -90,6 +90,11 @@ ConcurrentReplayReport RunHarness(
       if (config.adjustment_interval_us > 0) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(config.adjustment_interval_us));
+      } else {
+        // Back-to-back rounds still pause for the shortest sleep: the
+        // cluster's mutexes are not fair, so a round that re-locks the
+        // moment it unlocks can starve every client thread.
+        std::this_thread::sleep_for(std::chrono::microseconds(1));
       }
       migrated.fetch_add(cluster.RunAdjustmentRound());
       const std::size_t done = rounds_run.fetch_add(1) + 1;

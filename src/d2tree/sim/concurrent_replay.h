@@ -51,7 +51,8 @@ struct ConcurrentReplayConfig {
   /// threads are still replaying it keeps going past this, one round per
   /// interval, so migrations overlap the whole run.
   std::size_t min_adjustment_rounds = 4;
-  /// Sleep between adjustment rounds, microseconds (0 = back-to-back).
+  /// Sleep between adjustment rounds, microseconds (0 = back-to-back,
+  /// apart from the shortest sleep that keeps clients from starving).
   std::size_t adjustment_interval_us = 1000;
   std::uint64_t seed = 0xD27EE;
   /// Faults injected while the clients replay (empty = fault-free run).
@@ -120,7 +121,7 @@ struct ConcurrentReplayReport {
   // Durability layer, deltas over the run (DESIGN.md §7).
   std::uint64_t crashes_injected = 0;        // armed crashes that tripped
   std::uint64_t recoveries_completed = 0;    // Recover() calls that finished
-  std::uint64_t duplicate_pulls_dropped = 0; // receiver dedup on migration id
+  std::uint64_t duplicate_pulls_dropped = 0; // receiver dedup on txn id
   /// True when the service was still down at the end of the replay (a
   /// kCrashAtSite with no later kRecover): the harness runs Recover()
   /// itself before the audit, so `consistent` always reflects a live tree.

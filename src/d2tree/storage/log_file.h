@@ -1,5 +1,5 @@
 // Group-committed, file-backed append log for the LSM engine
-// (DESIGN.md §11).
+// (DESIGN.md §10).
 //
 // Framing is exactly durability/wal.h's (`u32 length + u32 crc32 +
 // payload`, CRC over the payload only) via the shared durability/frame.h

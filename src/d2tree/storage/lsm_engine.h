@@ -1,4 +1,4 @@
-// Embedded LSM-tree StoreEngine (DESIGN.md §11).
+// Embedded LSM-tree StoreEngine (DESIGN.md §10).
 //
 // Write path: every mutation is journaled into a group-committed WAL
 // (storage/log_file.h, durability/wal framing) and applied to a sorted

@@ -1,4 +1,4 @@
-// The default StoreEngine: an ordered in-RAM map (DESIGN.md §11).
+// The default StoreEngine: an ordered in-RAM map (DESIGN.md §10).
 //
 // Functionally identical to the original unordered_map-backed
 // MetadataStore; the ordered map additionally gives ascending-id Scan so

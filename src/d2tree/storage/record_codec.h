@@ -1,4 +1,4 @@
-// Durable serialization of one InodeRecord (DESIGN.md §11).
+// Durable serialization of one InodeRecord (DESIGN.md §10).
 //
 // This is the *storage* codec — the byte layout of a record inside the
 // LSM engine's WAL entries and SSTable blocks. It is deliberately separate

@@ -1,5 +1,5 @@
 // Immutable sorted-table files (SSTables) for the LSM engine
-// (DESIGN.md §11).
+// (DESIGN.md §10).
 //
 // A sealed table is written once, never modified, and read by binary
 // search over an in-memory block index with a bloom filter to short-cut

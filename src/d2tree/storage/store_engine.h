@@ -1,4 +1,4 @@
-// Pluggable backing engine behind MetadataStore (DESIGN.md §11).
+// Pluggable backing engine behind MetadataStore (DESIGN.md §10).
 //
 // The MDS-facing store API (mds/store.h) is a thin, mutex-guarded façade;
 // the engine underneath decides where records actually live. Two

@@ -1,11 +1,12 @@
 // Crash-consistent handoff tests (DESIGN.md §7): a whole-service crash
-// planted at every named site of the two-phase migration protocol — with
+// planted at every named site of the subtree-transfer transaction — with
 // and without a torn WAL tail — must recover to a cluster that passes
-// d2fsck: intent-only migrations roll back, prepared-or-later roll
-// forward, re-delivered pulls dedup on the migration id, and no record is
-// ever lost, duplicated or orphaned. Closes with the crash-schedule
-// property sweep over random tree shapes; the concurrent crash storms
-// live in test_fault_stress.cpp (label "stress").
+// d2fsck: intent-only transactions roll back, prepared-or-later roll
+// forward, re-delivered pulls dedup on the txn id, and no record is ever
+// lost, duplicated or orphaned. Closes with the crash-schedule property
+// sweep over random tree shapes, every site through both drivers
+// (adjustment round and rename); the concurrent crash storms live in
+// test_fault_stress.cpp (label "stress").
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,8 +105,8 @@ TEST_F(CrashSiteTest, CrashedServiceIsUnavailableUntilRecovered) {
 TEST_F(CrashSiteTest, IntentOnlyCrashRollsBack) {
   const MdsId victim = TripMigrationCrash(CrashSite::kAfterIntent, false);
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.migrations_rolled_back, 1u);
-  EXPECT_EQ(recovery.migrations_rolled_forward, 0u);
+  EXPECT_EQ(recovery.txns_rolled_back, 1u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 0u);
   cluster_.SetHeartbeatSuppressed(victim, false);
 
   // The donor still owns everything it owned — the plan died with the
@@ -115,8 +116,8 @@ TEST_F(CrashSiteTest, IntentOnlyCrashRollsBack) {
   ExpectRecoveredClean(cluster_, workload_.tree.size(), "rolled back");
 
   const FsckReport fsck = FsckCluster(cluster_);
-  EXPECT_EQ(fsck.migrations_aborted, 1u);
-  EXPECT_EQ(fsck.migrations_in_flight, 0u);
+  EXPECT_EQ(fsck.txns_aborted, 1u);
+  EXPECT_EQ(fsck.txns_in_flight, 0u);
 }
 
 // Crash after PREPARE: the records are durably parked in the pending
@@ -125,11 +126,11 @@ TEST_F(CrashSiteTest, IntentOnlyCrashRollsBack) {
 TEST_F(CrashSiteTest, PreparedCrashRollsForward) {
   const MdsId victim = TripMigrationCrash(CrashSite::kAfterPrepare, false);
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.migrations_rolled_forward, 1u);
-  EXPECT_EQ(recovery.migrations_rolled_back, 0u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 1u);
+  EXPECT_EQ(recovery.txns_rolled_back, 0u);
   cluster_.SetHeartbeatSuppressed(victim, false);
   ExpectRecoveredClean(cluster_, workload_.tree.size(), "rolled forward");
-  EXPECT_EQ(FsckCluster(cluster_).migrations_committed, 1u);
+  EXPECT_EQ(FsckCluster(cluster_).txns_committed, 1u);
 }
 
 // Crash after PREPARE with the append itself torn: replay cannot see the
@@ -140,8 +141,8 @@ TEST_F(CrashSiteTest, TornPrepareDemotesToRollback) {
   const auto recovery = cluster_.Recover();
   EXPECT_TRUE(recovery.torn_tail_detected);
   EXPECT_GT(recovery.torn_bytes_discarded, 0u);
-  EXPECT_EQ(recovery.migrations_rolled_back, 1u);
-  EXPECT_EQ(recovery.migrations_rolled_forward, 0u);
+  EXPECT_EQ(recovery.txns_rolled_back, 1u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 0u);
   cluster_.SetHeartbeatSuppressed(victim, false);
   ExpectRecoveredClean(cluster_, workload_.tree.size(), "torn prepare");
 }
@@ -150,12 +151,12 @@ TEST_F(CrashSiteTest, TornPrepareDemotesToRollback) {
 // Monitor's COMMIT: recovery rolls forward and the grantee's own journal
 // dedups the re-delivery — the records are applied exactly once.
 TEST_F(CrashSiteTest, PullAppliedCrashDedupsOnRecovery) {
-  const MdsId victim = TripMigrationCrash(CrashSite::kAfterPull, false);
+  const MdsId victim = TripMigrationCrash(CrashSite::kAfterApply, false);
   ASSERT_EQ(cluster_.duplicate_pulls_dropped(), 0u);
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.migrations_rolled_forward, 1u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 1u);
   EXPECT_EQ(cluster_.duplicate_pulls_dropped(), 1u)
-      << "the re-delivered pull must be dropped by the migration-id dedup";
+      << "the re-delivered pull must be dropped by the txn-id dedup";
   cluster_.SetHeartbeatSuppressed(victim, false);
   ExpectRecoveredClean(cluster_, workload_.tree.size(), "pull dedup");
 }
@@ -163,12 +164,12 @@ TEST_F(CrashSiteTest, PullAppliedCrashDedupsOnRecovery) {
 // Crash after the local commit: the COMMIT record is durable, so replay
 // is pure re-application — same owner, no second pull, clean audit.
 TEST_F(CrashSiteTest, CommittedCrashReplaysIdempotently) {
-  const MdsId victim = TripMigrationCrash(CrashSite::kAfterCommitLocal, false);
+  const MdsId victim = TripMigrationCrash(CrashSite::kAfterCommit, false);
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.migrations_rolled_back, 0u);
+  EXPECT_EQ(recovery.txns_rolled_back, 0u);
   cluster_.SetHeartbeatSuppressed(victim, false);
   ExpectRecoveredClean(cluster_, workload_.tree.size(), "committed");
-  EXPECT_GE(FsckCluster(cluster_).migrations_committed, 1u);
+  EXPECT_GE(FsckCluster(cluster_).txns_committed, 1u);
 }
 
 // Crash right after the GL version bump: the journaled version wins —
@@ -217,13 +218,13 @@ TEST(ParkedPullRegression, LossyMonitorLinkParksWithoutDoubleAssign) {
   // Churn ownership until a pull parks: drain a different server each
   // round so every round has migrations in flight over the lossy links.
   std::size_t round = 0;
-  for (; round < 200 && cluster.parked_migration_count() == 0; ++round) {
+  for (; round < 200 && cluster.ParkedTxnIds().empty(); ++round) {
     const MdsId drain = static_cast<MdsId>(round % 4);
     cluster.SetHeartbeatSuppressed(drain, true);
     cluster.RunAdjustmentRound();
     cluster.SetHeartbeatSuppressed(drain, false);
   }
-  ASSERT_GT(cluster.parked_migration_count(), 0u)
+  ASSERT_FALSE(cluster.ParkedTxnIds().empty())
       << "no pull parked in " << round << " lossy rounds";
 
   // Parked nodes are held by nobody and answer kUnavailable.
@@ -238,7 +239,7 @@ TEST(ParkedPullRegression, LossyMonitorLinkParksWithoutDoubleAssign) {
   EXPECT_TRUE(cluster.CheckConsistency(&error)) << error;
   const FsckReport mid = FsckCluster(cluster);
   EXPECT_TRUE(mid.clean()) << FormatFsckReport(mid);
-  EXPECT_EQ(mid.migrations_in_flight, cluster.parked_migration_count());
+  EXPECT_EQ(mid.txns_in_flight, cluster.ParkedTxnIds().size());
 
   // More rounds with the link still lossy: the parked subtree must stay
   // pinned (never re-planned into a second migration).
@@ -250,9 +251,9 @@ TEST(ParkedPullRegression, LossyMonitorLinkParksWithoutDoubleAssign) {
   // completes exactly once.
   for (MdsId k = 0; k < 4; ++k)
     ASSERT_TRUE(net->SetLinkDropRate(MonitorAddress(), MdsAddress(k), 0.0));
-  for (int i = 0; i < 3 && cluster.parked_migration_count() > 0; ++i)
+  for (int i = 0; i < 3 && !cluster.ParkedTxnIds().empty(); ++i)
     cluster.RunAdjustmentRound();
-  EXPECT_EQ(cluster.parked_migration_count(), 0u);
+  EXPECT_TRUE(cluster.ParkedTxnIds().empty());
   EXPECT_EQ(cluster.Stat(w.tree.PathOf(parked.front())).status, MdsStatus::kOk);
   ExpectRecoveredClean(cluster, w.tree.size(), "after heal");
   EXPECT_GT(cluster.retries_total(), 0u)
@@ -294,10 +295,11 @@ TEST(FaultInjectorCrash, RandomSchedulesPairCrashWithRecover) {
 }
 
 // The property sweep: ≥30 random tree shapes, and on each shape a crash
-// at *every* named site (torn and intact tails interleaved) followed by
-// Recover(). Every single recovery must leave a cluster that d2fsck
-// calls clean with the full namespace intact — the system's
-// crash-consistency criterion.
+// at *every* transaction site, torn and intact, through *both* drivers —
+// an adjustment round's migration and a rename (in place or re-homed) —
+// plus the GL-bump site, each followed by Recover(). Every single
+// recovery must leave a cluster that d2fsck calls clean with the full
+// namespace intact — the system's crash-consistency criterion.
 TEST(CrashRecoveryProperty, EverySiteRecoversCleanAcrossRandomShapes) {
   constexpr int kTrials = 30;
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -321,78 +323,84 @@ TEST(CrashRecoveryProperty, EverySiteRecoversCleanAcrossRandomShapes) {
     std::size_t fresh_names = 0;
     for (std::size_t s = 0; s < kCrashSiteCount; ++s) {
       const auto site = static_cast<CrashSite>(s);
-      const bool torn = rng.NextBool(0.5);
-      const std::string context = "trial " + std::to_string(trial) +
-                                  " site " + CrashSiteName(site) +
-                                  (torn ? " torn" : "");
-      const bool rename_site = s >= kFirstRenameCrashSite;
+      const bool gl_site = site == CrashSite::kAfterGlBump;
+      for (const bool torn : {false, true})
+        for (const bool by_rename : {false, true}) {
+          if (gl_site && by_rename) continue;  // only a GL update reaches it
+          const std::string context =
+              "trial " + std::to_string(trial) + " site " +
+              CrashSiteName(site) + (by_rename ? " rename" : " round") +
+              (torn ? " torn" : "");
 
-      MdsId victim = -1;
-      NodeId renamed_root = kInvalidNode;
-      std::string renamed_old_path, renamed_new_name;
-      if (!rename_site && site != CrashSite::kAfterGlBump) {
-        victim = VictimWithSubtrees(cluster);
-        ASSERT_GE(victim, 0) << context << ": no MDS owns a subtree";
-      }
-      cluster.ArmCrash(site, torn);
-      if (rename_site) {
-        // Rename sites are reached by the rename transaction driver: pick
-        // a local-layer subtree root with an alive owner (its path read
-        // from the mirrored tree, which tracks committed renames below)
-        // and rename it — in place, or re-homed to another alive server.
-        const auto owners = cluster.scheme().subtree_owners();
-        const auto& subtrees = cluster.scheme().layers().subtrees;
-        std::size_t pick = subtrees.size();
-        for (std::size_t i = 0; i < subtrees.size() && i < owners.size(); ++i)
-          if (cluster.IsServerAlive(owners[i])) {
-            pick = i;
-            break;
-          }
-        ASSERT_LT(pick, subtrees.size())
-            << context << ": no subtree with an alive owner";
-        renamed_root = subtrees[pick].root;
-        renamed_old_path = tree.PathOf(renamed_root);
-        renamed_new_name = "rn" + std::to_string(trial) + "_" +
-                           std::to_string(fresh_names++);
-        MdsId dest = -1;
-        if (rng.NextBool(0.5)) {
-          for (MdsId k = 0; k < static_cast<MdsId>(cluster.mds_count()); ++k)
-            if (k != owners[pick] && cluster.IsServerAlive(k)) {
-              dest = k;
-              break;
+          MdsId victim = -1;
+          NodeId renamed_root = kInvalidNode;
+          std::string renamed_old_path, renamed_new_name;
+          if (by_rename) {
+            // Pick a local-layer subtree root with an alive owner (its path
+            // read from the mirrored tree, which tracks committed renames
+            // below) and rename it — in place, or re-homed to another
+            // alive server.
+            const auto owners = cluster.scheme().subtree_owners();
+            const auto& subtrees = cluster.scheme().layers().subtrees;
+            std::size_t pick = subtrees.size();
+            for (std::size_t i = 0; i < subtrees.size() && i < owners.size();
+                 ++i)
+              if (cluster.IsServerAlive(owners[i])) {
+                pick = i;
+                break;
+              }
+            ASSERT_LT(pick, subtrees.size())
+                << context << ": no subtree with an alive owner";
+            renamed_root = subtrees[pick].root;
+            renamed_old_path = tree.PathOf(renamed_root);
+            renamed_new_name = "rn" + std::to_string(trial) + "_" +
+                               std::to_string(fresh_names++);
+            MdsId dest = -1;
+            if (rng.NextBool(0.5)) {
+              for (MdsId k = 0; k < static_cast<MdsId>(cluster.mds_count());
+                   ++k)
+                if (k != owners[pick] && cluster.IsServerAlive(k)) {
+                  dest = k;
+                  break;
+                }
             }
+            cluster.ArmCrash(site, torn);
+            if (dest >= 0)
+              cluster.RenameTo(renamed_old_path, renamed_new_name, dest);
+            else
+              cluster.Rename(renamed_old_path, renamed_new_name);
+          } else if (gl_site) {
+            cluster.ArmCrash(site, torn);
+            cluster.Update("/", static_cast<std::uint64_t>(trial));
+          } else {
+            victim = VictimWithSubtrees(cluster);
+            ASSERT_GE(victim, 0) << context << ": no MDS owns a subtree";
+            cluster.ArmCrash(site, torn);
+            ASSERT_TRUE(cluster.SetHeartbeatSuppressed(victim, true));
+            cluster.RunAdjustmentRound();
+          }
+          ASSERT_TRUE(cluster.crashed()) << context << ": site never tripped";
+
+          cluster.Recover();
+          if (victim >= 0) cluster.SetHeartbeatSuppressed(victim, false);
+          if (renamed_root != kInvalidNode &&
+              cluster.Stat(renamed_old_path).status == MdsStatus::kNotFound) {
+            // The rename took effect (committed live or rolled forward):
+            // mirror it so the next iteration's paths resolve.
+            tree.Rename(renamed_root, renamed_new_name);
+          }
+          ASSERT_FALSE(cluster.crashed()) << context;
+          const FsckReport fsck = FsckCluster(cluster);
+          ASSERT_TRUE(fsck.clean())
+              << context << ":\n" << FormatFsckReport(fsck);
+          const std::size_t gl = cluster.scheme().split().global_layer.size();
+          ASSERT_EQ(AliveLocalRecords(cluster), tree.size() - gl)
+              << context << ": records lost or duplicated";
+
+          // Stabilize before the next site so each crash starts from a
+          // serviceable cluster.
+          cluster.RunAdjustmentRound();
         }
-        if (dest >= 0)
-          cluster.RenameTo(renamed_old_path, renamed_new_name, dest);
-        else
-          cluster.Rename(renamed_old_path, renamed_new_name);
-      } else if (site == CrashSite::kAfterGlBump) {
-        cluster.Update("/", static_cast<std::uint64_t>(trial));
-      } else {
-        ASSERT_TRUE(cluster.SetHeartbeatSuppressed(victim, true));
-        cluster.RunAdjustmentRound();
-      }
-      ASSERT_TRUE(cluster.crashed()) << context << ": site never tripped";
-
-      cluster.Recover();
-      if (victim >= 0) cluster.SetHeartbeatSuppressed(victim, false);
-      if (renamed_root != kInvalidNode &&
-          cluster.Stat(renamed_old_path).status == MdsStatus::kNotFound) {
-        // The rename took effect (committed live or rolled forward):
-        // mirror it so the next iteration's paths resolve.
-        tree.Rename(renamed_root, renamed_new_name);
-      }
-      ASSERT_FALSE(cluster.crashed()) << context;
-      const FsckReport fsck = FsckCluster(cluster);
-      ASSERT_TRUE(fsck.clean())
-          << context << ":\n" << FormatFsckReport(fsck);
-      const std::size_t gl = cluster.scheme().split().global_layer.size();
-      ASSERT_EQ(AliveLocalRecords(cluster), tree.size() - gl)
-          << context << ": records lost or duplicated";
-
-      // Stabilize before the next site so each crash starts from a
-      // serviceable cluster.
-      cluster.RunAdjustmentRound();
     }
   }
 }

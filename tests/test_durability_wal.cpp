@@ -1,7 +1,7 @@
 // Write-ahead-log unit tests: frame encode/decode roundtrips, replay of
 // mixed record streams, torn-tail detection and truncation (the crash
 // footprint DESIGN.md §7 defines), CRC rejection of bit flips, file
-// persistence, and the d2fsck journal audit's migration state machine.
+// persistence, and the d2fsck journal audit's transaction state machine.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,8 +18,8 @@ namespace {
 
 WalRecord Intent(std::uint64_t id, NodeId root, MdsId from, MdsId to) {
   WalRecord r;
-  r.type = WalRecordType::kMigrationIntent;
-  r.migration_id = id;
+  r.type = WalRecordType::kTxnIntent;
+  r.txn_id = id;
   r.root = root;
   r.from = from;
   r.to = to;
@@ -36,20 +36,17 @@ WalRecord WithType(WalRecord r, WalRecordType type) {
 // (d2lint's registry rule pins this table to the enum).
 constexpr WalRecordType kAllWalRecordTypes[] = {
     WalRecordType::kPlacementSnapshot, WalRecordType::kCapacitySnapshot,
-    WalRecordType::kMigrationIntent,   WalRecordType::kMigrationPrepare,
-    WalRecordType::kMigrationCommit,   WalRecordType::kMigrationAbort,
+    WalRecordType::kTxnIntent,         WalRecordType::kTxnPrepare,
+    WalRecordType::kTxnCommit,         WalRecordType::kTxnAbort,
     WalRecordType::kGlVersion,         WalRecordType::kPullApplied,
-    WalRecordType::kRenameIntent,      WalRecordType::kRenamePrepare,
-    WalRecordType::kRenameCommit,      WalRecordType::kRenameAbort,
 };
-static_assert(std::size(kAllWalRecordTypes) ==
-                  static_cast<std::size_t>(WalRecordType::kRenameAbort) + 1,
+static_assert(std::size(kAllWalRecordTypes) == kWalRecordTypeCount,
               "kAllWalRecordTypes must list every WalRecordType enumerator");
 
 TEST(WalRecordCodec, RoundTripsEveryField) {
   WalRecord r;
   r.type = WalRecordType::kPlacementSnapshot;
-  r.migration_id = 0xDEADBEEFCAFEULL;
+  r.txn_id = 0xDEADBEEFCAFEULL;
   r.root = 1234;
   r.from = 3;
   r.to = 7;
@@ -68,7 +65,7 @@ TEST(WalRecordCodec, RoundTripsEveryRecordType) {
   for (const WalRecordType type : kAllWalRecordTypes) {
     WalRecord r;
     r.type = type;
-    r.migration_id = 7;
+    r.txn_id = 7;
     r.root = 99;
     r.from = 1;
     r.to = 2;
@@ -83,6 +80,17 @@ TEST(WalRecordCodec, RoundTripsEveryRecordType) {
     ASSERT_TRUE(decoded.has_value()) << WalRecordTypeName(type);
     EXPECT_EQ(*decoded, r) << WalRecordTypeName(type);
   }
+}
+
+// A type byte at or past the enum's count is malformed, even when the
+// rest of the payload decodes — a retired record type must never be
+// misread as whatever now sits at its byte.
+TEST(WalRecordCodec, RejectsUnknownRecordType) {
+  std::vector<std::uint8_t> bytes = EncodeWalRecord(Intent(1, 2, 0, 1));
+  bytes[0] = static_cast<std::uint8_t>(kWalRecordTypeCount);
+  EXPECT_FALSE(DecodeWalRecord(bytes.data(), bytes.size()).has_value());
+  bytes[0] = static_cast<std::uint8_t>(kWalRecordTypeCount - 1);
+  EXPECT_TRUE(DecodeWalRecord(bytes.data(), bytes.size()).has_value());
 }
 
 TEST(WalRecordCodec, RejectsTruncatedPayload) {
@@ -114,9 +122,9 @@ TEST(Wal, ReplayReturnsAppendsInOrder) {
 TEST(Wal, TornTailIsDetectedAndTruncatable) {
   Wal wal;
   wal.Append(Intent(1, 10, 0, 1));
-  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kMigrationPrepare));
+  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kTxnPrepare));
   const std::size_t intact = wal.size_bytes();
-  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kMigrationCommit));
+  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kTxnCommit));
 
   // Tear the COMMIT at every possible length, short of removing it whole.
   for (std::size_t keep = intact + 1; keep < wal.size_bytes(); ++keep) {
@@ -128,7 +136,7 @@ TEST(Wal, TornTailIsDetectedAndTruncatable) {
     WalReplayStats stats;
     const std::vector<WalRecord> records = torn.Replay(&stats);
     ASSERT_EQ(stats.records, 2u) << "valid prefix lost at keep=" << keep;
-    EXPECT_EQ(records.back().type, WalRecordType::kMigrationPrepare);
+    EXPECT_EQ(records.back().type, WalRecordType::kTxnPrepare);
     EXPECT_TRUE(stats.torn_tail);
     EXPECT_EQ(stats.torn_bytes, keep - intact);
 
@@ -156,7 +164,7 @@ TEST(Wal, CrcCatchesBitFlipInPayload) {
 TEST(Wal, SaveToLoadFromRoundTrips) {
   Wal wal;
   wal.Append(Intent(1, 10, 0, 1));
-  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kMigrationCommit));
+  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kTxnCommit));
 
   const std::string path =
       ::testing::TempDir() + "/d2tree_wal_roundtrip.bin";
@@ -175,31 +183,31 @@ TEST(CrashSites, EveryNamedSiteHasAName) {
     EXPECT_STRNE(CrashSiteName(static_cast<CrashSite>(i)), "?");
 }
 
-// --- d2fsck journal audit: the migration state machine.
+// --- d2fsck journal audit: the subtree-transfer state machine.
 
 TEST(FsckJournal, CleanLogIsClean) {
   Wal wal;
   const WalRecord intent = Intent(1, 10, 0, 1);
   wal.Append(intent);
-  wal.Append(WithType(intent, WalRecordType::kMigrationPrepare));
-  wal.Append(WithType(intent, WalRecordType::kMigrationCommit));
+  wal.Append(WithType(intent, WalRecordType::kTxnPrepare));
+  wal.Append(WithType(intent, WalRecordType::kTxnCommit));
   const WalRecord aborted = Intent(2, 20, 1, 0);
   wal.Append(aborted);
-  wal.Append(WithType(aborted, WalRecordType::kMigrationAbort));
+  wal.Append(WithType(aborted, WalRecordType::kTxnAbort));
   wal.Append(Intent(3, 30, 0, 1));  // in flight, not a violation
 
   const FsckReport report = FsckJournal(wal);
   EXPECT_TRUE(report.clean()) << FormatFsckReport(report);
   EXPECT_EQ(report.wal_records, 6u);
-  EXPECT_EQ(report.migrations_committed, 1u);
-  EXPECT_EQ(report.migrations_aborted, 1u);
-  EXPECT_EQ(report.migrations_in_flight, 1u);
+  EXPECT_EQ(report.txns_committed, 1u);
+  EXPECT_EQ(report.txns_aborted, 1u);
+  EXPECT_EQ(report.txns_in_flight, 1u);
 }
 
 TEST(FsckJournal, FlagsCommitWithoutPrepare) {
   Wal wal;
   wal.Append(Intent(1, 10, 0, 1));
-  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kMigrationCommit));
+  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kTxnCommit));
   const FsckReport report = FsckJournal(wal);
   ASSERT_FALSE(report.clean());
   EXPECT_NE(FormatFsckReport(report).find("commit"), std::string::npos);
@@ -209,16 +217,16 @@ TEST(FsckJournal, FlagsCommittedAndAborted) {
   Wal wal;
   const WalRecord intent = Intent(4, 40, 0, 1);
   wal.Append(intent);
-  wal.Append(WithType(intent, WalRecordType::kMigrationPrepare));
-  wal.Append(WithType(intent, WalRecordType::kMigrationCommit));
-  wal.Append(WithType(intent, WalRecordType::kMigrationAbort));
+  wal.Append(WithType(intent, WalRecordType::kTxnPrepare));
+  wal.Append(WithType(intent, WalRecordType::kTxnCommit));
+  wal.Append(WithType(intent, WalRecordType::kTxnAbort));
   EXPECT_FALSE(FsckJournal(wal).clean());
 }
 
 TEST(FsckJournal, FlagsPrepareWithoutIntentAndDuplicateIntent) {
   Wal orphan_prepare;
   orphan_prepare.Append(
-      WithType(Intent(5, 50, 0, 1), WalRecordType::kMigrationPrepare));
+      WithType(Intent(5, 50, 0, 1), WalRecordType::kTxnPrepare));
   EXPECT_FALSE(FsckJournal(orphan_prepare).clean());
 
   Wal dup_intent;
@@ -227,10 +235,39 @@ TEST(FsckJournal, FlagsPrepareWithoutIntentAndDuplicateIntent) {
   EXPECT_FALSE(FsckJournal(dup_intent).clean());
 }
 
+// Every transaction draws its id from one counter, so INTENT ids must
+// strictly increase in journal order; and a record must carry a rename's
+// name pair whole (a pure migration carries neither name).
+TEST(FsckJournal, FlagsNonMonotoneIdsAndHalfNamedRecords) {
+  Wal backwards;
+  backwards.Append(Intent(9, 90, 0, 1));
+  backwards.Append(Intent(8, 80, 1, 0));
+  const FsckReport regressed = FsckJournal(backwards);
+  ASSERT_FALSE(regressed.clean());
+  EXPECT_NE(FormatFsckReport(regressed).find("txn-id-not-monotone"),
+            std::string::npos);
+
+  WalRecord rename = Intent(1, 10, 0, 0);
+  rename.name = "new";
+  rename.prev_name = "old";
+  Wal whole;
+  whole.Append(rename);
+  whole.Append(WithType(rename, WalRecordType::kTxnAbort));
+  EXPECT_TRUE(FsckJournal(whole).clean());
+
+  rename.prev_name.clear();
+  Wal half;
+  half.Append(rename);
+  const FsckReport half_named = FsckJournal(half);
+  ASSERT_FALSE(half_named.clean());
+  EXPECT_NE(FormatFsckReport(half_named).find("txn-half-named"),
+            std::string::npos);
+}
+
 TEST(FsckJournal, ReportsTornTailWithoutFlaggingIt) {
   Wal wal;
   wal.Append(Intent(1, 10, 0, 1));
-  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kMigrationPrepare));
+  wal.Append(WithType(Intent(1, 10, 0, 1), WalRecordType::kTxnPrepare));
   wal.TruncateTail(3);  // tear the PREPARE mid-frame
 
   const FsckReport report = FsckJournal(wal);
@@ -239,8 +276,8 @@ TEST(FsckJournal, ReportsTornTailWithoutFlaggingIt) {
   EXPECT_TRUE(report.clean()) << FormatFsckReport(report);
   EXPECT_TRUE(report.torn_tail);
   EXPECT_GT(report.torn_bytes, 0u);
-  EXPECT_EQ(report.migrations_in_flight, 1u)
-      << "the torn PREPARE must demote the migration to intent-only";
+  EXPECT_EQ(report.txns_in_flight, 1u)
+      << "the torn PREPARE must demote the transaction to intent-only";
 }
 
 }  // namespace

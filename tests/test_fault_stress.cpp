@@ -336,11 +336,11 @@ TEST(FaultStress, RenameStormRacesAdjustmentAndCrash) {
     // One kill/revive pair racing the storm.
     const MdsId victim = 1;
     if (cluster.KillServer(victim)) cluster.ReviveServer(victim);
-    // One whole-service crash at a seeded rename site; the storm trips
-    // it, everyone sees kUnavailable until the recovery below.
-    const auto site = static_cast<CrashSite>(
-        kFirstRenameCrashSite +
-        rng.NextBounded(kCrashSiteCount - kFirstRenameCrashSite));
+    // One whole-service crash at a seeded transaction site (every site
+    // but the trailing GL-update one); the storm trips it, everyone sees
+    // kUnavailable until the recovery below.
+    const auto site = static_cast<CrashSite>(rng.NextBounded(
+        static_cast<std::size_t>(CrashSite::kAfterGlBump)));
     cluster.ArmCrash(site, rng.NextBool(0.5));
     for (int spin = 0; spin < 1000 && !cluster.crashed(); ++spin)
       std::this_thread::yield();

@@ -1,17 +1,18 @@
-// Atomic cross-MDS rename transactions (DESIGN.md §8), label "rename":
-// the journaled state machine kRenameIntent → kRenamePrepare → apply →
-// kRenameCommit executed against live stores, with a whole-service crash
-// planted at every rename protocol site (torn and intact WAL tails).
+// Atomic cross-MDS renames (DESIGN.md §7), label "rename": a rename is a
+// subtree-transfer transaction with a name change — INTENT → PREPARE →
+// apply → COMMIT executed against live stores, with a whole-service crash
+// planted at every transaction site (torn and intact WAL tails).
 // Deterministic per-site semantics first — intent-only rolls back (the
 // pre-rename name restored from the journal), prepared-or-later rolls
 // forward, a journaled commit replays idempotently, the destination
-// dedups re-delivered transfers on the rename id — then the rename-storm
-// property sweep: ≥30 random tree shapes × crashes at every rename site,
-// each recovery d2fsck-clean with exactly one owner resolving the
-// renamed path.
+// dedups re-delivered transfers on the txn id — then the rename-storm
+// property sweep: ≥30 random tree shapes × crashes at every transaction
+// site through both drivers (rename and adjustment round), each recovery
+// d2fsck-clean with exactly one owner resolving the renamed path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,14 @@
 
 namespace d2tree {
 namespace {
+
+/// The transaction sites: every crash site but the GL-update one.
+constexpr CrashSite kTxnSites[] = {
+    CrashSite::kAfterIntent,
+    CrashSite::kAfterPrepare,
+    CrashSite::kAfterApply,
+    CrashSite::kAfterCommit,
+};
 
 /// Live servers holding `id` in their *local* store — the single-owner
 /// invariant every rename must preserve.
@@ -45,7 +54,7 @@ void ExpectFsckClean(const FunctionalCluster& cluster,
                      const std::string& context) {
   const FsckReport fsck = FsckCluster(cluster);
   EXPECT_TRUE(fsck.clean()) << context << ":\n" << FormatFsckReport(fsck);
-  EXPECT_EQ(fsck.renames_in_flight, 0u) << context;
+  EXPECT_EQ(fsck.txns_in_flight, 0u) << context;
 }
 
 class RenameTxnTest : public ::testing::Test {
@@ -229,8 +238,8 @@ TEST_F(RenameTxnTest, SiblingCollisionRefused) {
   EXPECT_EQ(cluster_.CheckPathIntegrity(&err), 0u) << err;
 }
 
-// Rename ids and migration ids draw from one monotone counter — the
-// fsck invariant "journaled rename ids monotone" rides on it.
+// Renames and migrations draw txn ids from one monotone counter — the
+// fsck invariant "journaled txn ids monotone" rides on it.
 TEST_F(RenameTxnTest, RenameIdsShareTheMigrationCounter) {
   const std::size_t i = PickSubtree();
   const std::string path =
@@ -292,10 +301,10 @@ class RenameCrashTest : public RenameTxnTest {
 // Crash after INTENT: nothing changed — recovery journals the abort, the
 // old name still resolves, ownership never moved.
 TEST_F(RenameCrashTest, IntentOnlyCrashRollsBack) {
-  const Trip t = TripCrossRenameCrash(CrashSite::kAfterRenameIntent, false);
+  const Trip t = TripCrossRenameCrash(CrashSite::kAfterIntent, false);
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.renames_rolled_back, 1u);
-  EXPECT_EQ(recovery.renames_rolled_forward, 0u);
+  EXPECT_EQ(recovery.txns_rolled_back, 1u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 0u);
   EXPECT_EQ(cluster_.renames_aborted(), 1u);
 
   EXPECT_EQ(cluster_.Stat(t.old_path).status, MdsStatus::kOk);
@@ -304,17 +313,17 @@ TEST_F(RenameCrashTest, IntentOnlyCrashRollsBack) {
   EXPECT_EQ(HoldersOf(cluster_, t.root), 1u);
   ExpectFsckClean(cluster_, "intent rollback");
   const FsckReport fsck = FsckCluster(cluster_);
-  EXPECT_EQ(fsck.renames_aborted, 1u);
+  EXPECT_EQ(fsck.txns_aborted, 1u);
 }
 
 // Crash after PREPARE: the WAL carries the new name and destination, so
 // recovery rolls forward — new name resolves, subtree owned by the
 // destination, exactly once.
 TEST_F(RenameCrashTest, PreparedCrashRollsForward) {
-  const Trip t = TripCrossRenameCrash(CrashSite::kAfterRenamePrepare, false);
+  const Trip t = TripCrossRenameCrash(CrashSite::kAfterPrepare, false);
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.renames_rolled_forward, 1u);
-  EXPECT_EQ(recovery.renames_rolled_back, 0u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 1u);
+  EXPECT_EQ(recovery.txns_rolled_back, 0u);
   EXPECT_EQ(cluster_.renames_committed(), 1u);
 
   EXPECT_EQ(cluster_.Stat(t.old_path).status, MdsStatus::kNotFound);
@@ -325,18 +334,18 @@ TEST_F(RenameCrashTest, PreparedCrashRollsForward) {
   EXPECT_EQ(HoldersOf(cluster_, t.root), 1u);
   ExpectFsckClean(cluster_, "prepare roll-forward");
   const FsckReport fsck = FsckCluster(cluster_);
-  EXPECT_EQ(fsck.renames_committed, 1u);
+  EXPECT_EQ(fsck.txns_committed, 1u);
 }
 
 // Torn PREPARE: the tear demotes the transaction to intent-only, so it
 // must roll back even though the apply step may already have run — the
 // journaled pre-rename name is restored.
 TEST_F(RenameCrashTest, TornPrepareRollsBackAndRestoresName) {
-  const Trip t = TripCrossRenameCrash(CrashSite::kAfterRenamePrepare, true);
+  const Trip t = TripCrossRenameCrash(CrashSite::kAfterPrepare, true);
   const auto recovery = cluster_.Recover();
   EXPECT_TRUE(recovery.torn_tail_detected);
-  EXPECT_EQ(recovery.renames_rolled_back, 1u);
-  EXPECT_EQ(recovery.renames_rolled_forward, 0u);
+  EXPECT_EQ(recovery.txns_rolled_back, 1u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 0u);
 
   EXPECT_EQ(cluster_.Stat(t.old_path).status, MdsStatus::kOk);
   EXPECT_EQ(cluster_.Stat(NewPath(t)).status, MdsStatus::kNotFound);
@@ -348,10 +357,10 @@ TEST_F(RenameCrashTest, TornPrepareRollsBackAndRestoresName) {
 // before the crash, so recovery's roll-forward dedups on its WAL instead
 // of double-applying, and the records end up at the destination once.
 TEST_F(RenameCrashTest, ApplyCrashRollsForwardWithReceiverDedup) {
-  const Trip t = TripCrossRenameCrash(CrashSite::kAfterRenameApply, false);
+  const Trip t = TripCrossRenameCrash(CrashSite::kAfterApply, false);
   const std::uint64_t dup_before = cluster_.duplicate_pulls_dropped();
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.renames_rolled_forward, 1u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 1u);
   EXPECT_EQ(cluster_.duplicate_pulls_dropped(), dup_before + 1)
       << "re-delivery must dedup on the destination's journal";
 
@@ -365,10 +374,10 @@ TEST_F(RenameCrashTest, ApplyCrashRollsForwardWithReceiverDedup) {
 // is a pure no-op (nothing rolls either way), and the renamed state
 // survives recovery unchanged.
 TEST_F(RenameCrashTest, CommittedCrashReplaysIdempotently) {
-  const Trip t = TripCrossRenameCrash(CrashSite::kAfterRenameCommit, false);
+  const Trip t = TripCrossRenameCrash(CrashSite::kAfterCommit, false);
   const auto recovery = cluster_.Recover();
-  EXPECT_EQ(recovery.renames_rolled_forward, 0u);
-  EXPECT_EQ(recovery.renames_rolled_back, 0u);
+  EXPECT_EQ(recovery.txns_rolled_forward, 0u);
+  EXPECT_EQ(recovery.txns_rolled_back, 0u);
 
   EXPECT_EQ(cluster_.Stat(t.old_path).status, MdsStatus::kNotFound);
   EXPECT_EQ(cluster_.Stat(NewPath(t)).status, MdsStatus::kOk);
@@ -376,15 +385,15 @@ TEST_F(RenameCrashTest, CommittedCrashReplaysIdempotently) {
   EXPECT_EQ(HoldersOf(cluster_, t.root), 1u);
   ExpectFsckClean(cluster_, "commit idempotence");
   const FsckReport fsck = FsckCluster(cluster_);
-  EXPECT_EQ(fsck.renames_committed, 1u);
-  EXPECT_EQ(fsck.renames_aborted, 0u);
+  EXPECT_EQ(fsck.txns_committed, 1u);
+  EXPECT_EQ(fsck.txns_aborted, 0u);
 }
 
 // In-place renames walk the same four sites; after every crash/recover
 // the namespace matches the journal's verdict exactly.
 TEST_F(RenameCrashTest, InPlaceRenameCrashesAtEverySite) {
-  for (std::size_t s = kFirstRenameCrashSite; s < kCrashSiteCount; ++s) {
-    const auto site = static_cast<CrashSite>(s);
+  for (std::size_t s = 0; s < std::size(kTxnSites); ++s) {
+    const CrashSite site = kTxnSites[s];
     const std::string context = CrashSiteName(site);
     const std::size_t i = PickSubtree();
     const NodeId root = cluster_.scheme().layers().subtrees[i].root;
@@ -394,7 +403,7 @@ TEST_F(RenameCrashTest, InPlaceRenameCrashesAtEverySite) {
     if (cluster_.Stat(old_path).status != MdsStatus::kOk) {
       // Renamed by a previous iteration: reconstruct via its record name.
       const std::string prefix = old_path.substr(0, old_path.find_last_of('/') + 1);
-      for (std::size_t prev = kFirstRenameCrashSite; prev < s; ++prev) {
+      for (std::size_t prev = 0; prev < s; ++prev) {
         const std::string candidate =
             prefix + "ip" + std::to_string(prev);
         if (cluster_.Stat(candidate).status == MdsStatus::kOk) {
@@ -411,7 +420,7 @@ TEST_F(RenameCrashTest, InPlaceRenameCrashesAtEverySite) {
         << context;
     ASSERT_TRUE(cluster_.crashed()) << context;
     const auto recovery = cluster_.Recover();
-    const bool rolled_back = recovery.renames_rolled_back > 0;
+    const bool rolled_back = recovery.txns_rolled_back > 0;
     const std::string new_path =
         old_path.substr(0, old_path.find_last_of('/') + 1) + fresh;
     if (rolled_back) {
@@ -430,9 +439,11 @@ TEST_F(RenameCrashTest, InPlaceRenameCrashesAtEverySite) {
 
 // The rename-storm property sweep: ≥30 random tree shapes; on each, a
 // storm of committed renames (in place and cross-server) followed by a
-// crash at *every* rename site (torn and intact interleaved) and a
-// recovery. Every recovery must be d2fsck-clean with exactly one owner
-// resolving every renamed path, and no record lost or duplicated.
+// crash at *every* transaction site, torn and intact, through both the
+// rename driver and the adjustment round's migration driver, each
+// followed by a recovery. Every recovery must be d2fsck-clean with exactly
+// one owner resolving every renamed path, and no record lost or
+// duplicated.
 TEST(RenameTxnProperty, RenameStormEverySiteRecoversClean) {
   constexpr int kTrials = 30;
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -452,8 +463,9 @@ TEST(RenameTxnProperty, RenameStormEverySiteRecoversClean) {
     FunctionalCluster cluster(tree, m);
     std::size_t fresh = 0;
 
-    // The mirrored tree tracks committed renames so paths stay valid.
-    const auto pick_and_rename = [&](CrashSite site,
+    // Renames some subtree root, crashing at `site` when set; the
+    // mirrored tree tracks committed renames so paths stay valid.
+    const auto pick_and_rename = [&](std::optional<CrashSite> site,
                                      bool torn) -> std::string {
       const auto owners = cluster.scheme().subtree_owners();
       const auto& subtrees = cluster.scheme().layers().subtrees;
@@ -476,51 +488,74 @@ TEST(RenameTxnProperty, RenameStormEverySiteRecoversClean) {
             break;
           }
       }
-      const bool arm = site != CrashSite::kAfterGlBump;  // sentinel misuse-proof
-      if (arm) cluster.ArmCrash(site, torn);
+      if (site.has_value()) cluster.ArmCrash(*site, torn);
       const auto result = dest >= 0 ? cluster.RenameTo(old_path, name, dest)
                                     : cluster.Rename(old_path, name);
-      if (!arm && result.status == MdsStatus::kOk) tree.Rename(root, name);
-      if (arm) {
-        if (!cluster.crashed()) return "site never tripped";
-        cluster.Recover();
-        if (cluster.Stat(old_path).status == MdsStatus::kNotFound)
-          tree.Rename(root, name);  // committed live or rolled forward
+      if (!site.has_value()) {
+        if (result.status == MdsStatus::kOk) tree.Rename(root, name);
+        return "";
       }
+      if (!cluster.crashed()) return "site never tripped";
+      cluster.Recover();
+      if (cluster.Stat(old_path).status == MdsStatus::kNotFound)
+        tree.Rename(root, name);  // committed live or rolled forward
       return "";
+    };
+    // Drains a subtree owner so the adjustment round migrates, crashing
+    // at `site`.
+    const auto drain_round = [&](CrashSite site, bool torn) -> std::string {
+      const auto owners = cluster.scheme().subtree_owners();
+      MdsId victim = -1;
+      for (MdsId k = 0; k < static_cast<MdsId>(cluster.mds_count()); ++k)
+        if (cluster.IsServerAlive(k) &&
+            std::count(owners.begin(), owners.end(), k) > 0) {
+          victim = k;
+          break;
+        }
+      if (victim < 0) return "no alive MDS owns a subtree";
+      cluster.ArmCrash(site, torn);
+      cluster.SetHeartbeatSuppressed(victim, true);
+      cluster.RunAdjustmentRound();
+      const bool tripped = cluster.crashed();
+      cluster.Recover();
+      cluster.SetHeartbeatSuppressed(victim, false);
+      cluster.RunAdjustmentRound();  // stabilize
+      return tripped ? "" : "site never tripped";
     };
 
     // Storm phase: a handful of uncrashed renames to salt the journal.
     for (int n = 0; n < 4; ++n) {
-      const std::string err =
-          pick_and_rename(CrashSite::kAfterGlBump, false);  // no arm
+      const std::string err = pick_and_rename(std::nullopt, false);
       ASSERT_EQ(err, "") << "trial " << trial << " storm rename " << n;
     }
 
-    // Crash phase: every rename site, torn flags seeded.
-    for (std::size_t s = kFirstRenameCrashSite; s < kCrashSiteCount; ++s) {
-      const auto site = static_cast<CrashSite>(s);
-      const bool torn = rng.NextBool(0.5);
-      const std::string context = "trial " + std::to_string(trial) +
-                                  " site " + CrashSiteName(site) +
-                                  (torn ? " torn" : "");
-      const std::string err = pick_and_rename(site, torn);
-      ASSERT_EQ(err, "") << context;
+    // Crash phase: every transaction site, torn and intact, both drivers.
+    for (const CrashSite site : kTxnSites)
+      for (const bool torn : {false, true})
+        for (const bool by_rename : {true, false}) {
+          const std::string context =
+              "trial " + std::to_string(trial) + " site " +
+              CrashSiteName(site) + (by_rename ? " rename" : " round") +
+              (torn ? " torn" : "");
+          const std::string err = by_rename ? pick_and_rename(site, torn)
+                                            : drain_round(site, torn);
+          ASSERT_EQ(err, "") << context;
 
-      const FsckReport fsck = FsckCluster(cluster);
-      ASSERT_TRUE(fsck.clean()) << context << ":\n" << FormatFsckReport(fsck);
-      std::string path_err;
-      ASSERT_EQ(cluster.CheckPathIntegrity(&path_err), 0u)
-          << context << ": " << path_err;
-      const std::size_t gl = cluster.scheme().split().global_layer.size();
-      ASSERT_EQ(AliveLocalRecords(cluster), tree.size() - gl)
-          << context << ": records lost or duplicated";
-      // Exactly one owner resolves every subtree root's path.
-      const auto& subtrees = cluster.scheme().layers().subtrees;
-      for (const auto& st : subtrees)
-        ASSERT_EQ(HoldersOf(cluster, st.root), 1u)
-            << context << ": root " << tree.PathOf(st.root);
-    }
+          const FsckReport fsck = FsckCluster(cluster);
+          ASSERT_TRUE(fsck.clean())
+              << context << ":\n" << FormatFsckReport(fsck);
+          std::string path_err;
+          ASSERT_EQ(cluster.CheckPathIntegrity(&path_err), 0u)
+              << context << ": " << path_err;
+          const std::size_t gl = cluster.scheme().split().global_layer.size();
+          ASSERT_EQ(AliveLocalRecords(cluster), tree.size() - gl)
+              << context << ": records lost or duplicated";
+          // Exactly one owner resolves every subtree root's path.
+          const auto& subtrees = cluster.scheme().layers().subtrees;
+          for (const auto& st : subtrees)
+            ASSERT_EQ(HoldersOf(cluster, st.root), 1u)
+                << context << ": root " << tree.PathOf(st.root);
+        }
   }
 }
 

@@ -5,7 +5,7 @@
 // (InProcess, SimNet, real TCP sockets). A behaviour difference between
 // the simulated paths and the socket path would silently invalidate every
 // simulated benchmark, so this suite is the contract's single source of
-// truth (DESIGN.md §10).
+// truth (DESIGN.md §9).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -41,11 +41,9 @@ constexpr MsgType kAllMsgTypes[] = {
     MsgType::kPendingPoolPush, MsgType::kPendingPoolPull,
     MsgType::kGlWriteLock,     MsgType::kGlCommit,
     MsgType::kRenameRequest,   MsgType::kRenameResponse,
-    MsgType::kRenamePrepare,   MsgType::kRenameCommit,
-    MsgType::kRenameAbort,     MsgType::kBulkTable,
+    MsgType::kBulkTable,
 };
-static_assert(std::size(kAllMsgTypes) ==
-                  static_cast<std::size_t>(MsgType::kBulkTable) + 1,
+static_assert(std::size(kAllMsgTypes) == kMsgTypeCount,
               "kAllMsgTypes must list every MsgType enumerator");
 
 struct ConformanceParam {

@@ -28,16 +28,14 @@ constexpr MsgType kAllMsgTypes[] = {
     MsgType::kPendingPoolPush, MsgType::kPendingPoolPull,
     MsgType::kGlWriteLock,     MsgType::kGlCommit,
     MsgType::kRenameRequest,   MsgType::kRenameResponse,
-    MsgType::kRenamePrepare,   MsgType::kRenameCommit,
-    MsgType::kRenameAbort,     MsgType::kBulkTable,
+    MsgType::kBulkTable,
 };
-static_assert(std::size(kAllMsgTypes) ==
-                  static_cast<std::size_t>(MsgType::kBulkTable) + 1,
+static_assert(std::size(kAllMsgTypes) == kMsgTypeCount,
               "kAllMsgTypes must list every MsgType enumerator");
 
 Message MessageOfEveryField() {
   Message m;
-  m.type = MsgType::kRenamePrepare;
+  m.type = MsgType::kPendingPoolPull;
   m.target = 123456;
   m.mtime = 0xDEADBEEFCAFEF00DULL;
   m.status = MdsStatus::kWrongServer;
@@ -148,7 +146,7 @@ TEST(WireCodec, SeededRandomMessagesRoundTrip) {
     env.from = {static_cast<PeerKind>(u8(3)), static_cast<MdsId>(rng() % 64)};
     env.to = {static_cast<PeerKind>(u8(3)), static_cast<MdsId>(rng() % 64)};
     env.msg.type = static_cast<MsgType>(
-        u8(static_cast<std::uint8_t>(MsgType::kBulkTable) + 1));
+        u8(kMsgTypeCount));
     env.msg.status = static_cast<MdsStatus>(
         u8(static_cast<std::uint8_t>(MdsStatus::kUnavailable) + 1));
     env.msg.target = static_cast<NodeId>(rng());
@@ -262,6 +260,8 @@ TEST(WireCodec, CrcValidMalformedBodyIsCorrupt) {
       {"frame kind", 1, 200},
       // Body offset 2..9 is the correlation id; 10 is from.kind.
       {"from peer kind", 10, 99},
+      // 11..14 from.id, 15..19 the to address; 20 is the message type.
+      {"message type", 20, static_cast<std::uint8_t>(kMsgTypeCount)},
   };
   for (const Tamper& t : tampers) {
     auto frame = EncodeFrame(EnvelopeOf(MessageOfEveryField()));

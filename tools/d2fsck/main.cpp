@@ -4,9 +4,9 @@
 //   d2fsck <wal-file>
 //     Offline mode: load a Monitor journal saved with Wal::SaveTo (or by
 //     this tool's demo mode) and run the journal audit: framing/CRC
-//     validity, torn-tail detection, and the migration *and rename*
-//     state machines — no id both committed and aborted, no COMMIT
-//     without its PREPARE, rename intent ids strictly monotone.
+//     validity, torn-tail detection, and the subtree-transfer state
+//     machine — no txn both committed and aborted, no COMMIT without its
+//     PREPARE, INTENT ids strictly monotone, rename name pairs whole.
 //     Exit 0 when clean, 1 otherwise.
 //
 //   d2fsck --store <dir>
@@ -17,14 +17,14 @@
 //     engine WAL. A torn engine-WAL tail is reported (crash footprint),
 //     a torn MANIFEST is flagged. Exit 0 when clean, 1 otherwise.
 //
-//   d2fsck --demo [site 0..8] [torn 0|1] [wal-out]
-//     Online mode: build a small cluster, drive traffic, arm a crash at
-//     the named site (durability/crash_point.h; default kAfterPrepare)
-//     optionally tearing the last WAL record, trip it — migration sites
-//     (0..4) via the adjustment round or a GL update, rename sites (5..8)
-//     via a cross-server rename transaction — then Recover() and audit
-//     the recovered cluster. With [wal-out] the post-recovery journal is
-//     saved for offline runs.
+//   d2fsck --demo [site 0..4] [torn 0|1] [wal-out]
+//     Online mode: build a small cluster, drive traffic, then arm a crash
+//     at the named site (durability/crash_point.h; default kAfterPrepare),
+//     optionally tearing the last WAL record, and trip it — a transaction
+//     site (0..3) once through a migration (adjustment round) and once
+//     through a cross-server rename, the GL site (4) through a GL update —
+//     recovering and auditing after each trip. With [wal-out] the final
+//     journal is saved for offline runs.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +55,25 @@ int AuditStoreDir(const char* dir) {
   return report.clean() ? 0 : 1;
 }
 
+/// Recovers `cluster` after one armed drive and audits it; false when
+/// the site never tripped or the recovered cluster is not clean.
+bool RecoverAndAudit(FunctionalCluster& cluster, const char* driver) {
+  std::printf("%s: crashed: %s\n", driver, cluster.crashed() ? "yes" : "no");
+  const bool tripped = cluster.crashed();
+  const auto recovery = cluster.Recover();
+  std::printf(
+      "%s: recovered: %zu records replayed%s, %zu rolled forward, %zu "
+      "rolled back, %zu records rematerialized, GL v%llu\n",
+      driver, recovery.wal_records_replayed,
+      recovery.torn_tail_detected ? " (torn tail truncated)" : "",
+      recovery.txns_rolled_forward, recovery.txns_rolled_back,
+      recovery.records_rematerialized,
+      static_cast<unsigned long long>(recovery.gl_version));
+  const FsckReport report = FsckCluster(cluster);
+  std::fputs(FormatFsckReport(report).c_str(), stdout);
+  return tripped && report.clean();
+}
+
 int Demo(int argc, char** argv) {
   const int site_index = argc > 2 ? std::atoi(argv[2]) : 1;
   const bool torn = argc > 3 && std::atoi(argv[3]) != 0;
@@ -75,68 +94,56 @@ int Demo(int argc, char** argv) {
 
   std::printf("demo: arming crash at %s%s\n", CrashSiteName(site),
               torn ? " + torn tail" : "");
-  cluster.ArmCrash(site, torn);
-  if (static_cast<std::size_t>(site_index) >= kFirstRenameCrashSite) {
-    // Rename sites fire inside the rename transaction driver: re-home a
-    // local-layer subtree root to another server under a fresh name.
+  bool clean = true;
+  if (site == CrashSite::kAfterGlBump) {
+    cluster.ArmCrash(site, torn);
+    cluster.Update("/", 42);  // the GL-update site fires on a GL write
+    clean = RecoverAndAudit(cluster, "gl-update");
+  } else {
+    // Kill a server so the round must migrate its subtrees through the
+    // pending pool — guaranteeing the armed site is reached.
+    cluster.ArmCrash(site, torn);
+    cluster.KillServer(3);
+    cluster.RunAdjustmentRound();
+    clean = RecoverAndAudit(cluster, "migration");
+
+    // The same site through the rename driver: re-home a local-layer
+    // subtree root with a live owner to another live server.
     const auto owners = cluster.scheme().subtree_owners();
     const auto& subtrees = cluster.scheme().layers().subtrees;
-    bool driven = false;
-    for (std::size_t i = 0; i < subtrees.size() && i < owners.size(); ++i) {
-      if (!cluster.IsServerAlive(owners[i])) continue;
-      MdsId dest = -1;
-      for (MdsId k = 0; k < static_cast<MdsId>(cluster.mds_count()); ++k)
-        if (k != owners[i] && cluster.IsServerAlive(k)) {
-          dest = k;
-          break;
-        }
-      const std::string path = w.tree.PathOf(subtrees[i].root);
-      const auto result = dest >= 0
-                              ? cluster.RenameTo(path, "renamed_demo", dest)
-                              : cluster.Rename(path, "renamed_demo");
-      std::printf("rename %s → renamed_demo (id %llu, %s, %zu records)\n",
-                  path.c_str(),
-                  static_cast<unsigned long long>(result.rename_id),
-                  result.cross_server ? "cross-server" : "in place",
-                  result.records_moved);
-      driven = true;
-      break;
-    }
-    if (!driven) {
+    std::size_t pick = subtrees.size();
+    for (std::size_t i = 0; i < subtrees.size() && i < owners.size(); ++i)
+      if (cluster.IsServerAlive(owners[i])) {
+        pick = i;
+        break;
+      }
+    MdsId dest = -1;
+    for (MdsId k = 0; pick < subtrees.size() &&
+                      k < static_cast<MdsId>(cluster.mds_count());
+         ++k)
+      if (k != owners[pick] && cluster.IsServerAlive(k)) {
+        dest = k;
+        break;
+      }
+    if (dest < 0) {
       std::fprintf(stderr, "d2fsck: no renameable subtree in the demo tree\n");
       return 2;
     }
-  } else if (site == CrashSite::kAfterGlBump) {
-    cluster.Update("/", 42);  // the GL-update site fires on a GL write
-  } else {
-    // Kill a server so the round must migrate its subtrees through the
-    // pending pool — guaranteeing the armed migration site is reached.
-    cluster.KillServer(3);
-    cluster.RunAdjustmentRound();
+    const std::string path = w.tree.PathOf(subtrees[pick].root);
+    cluster.ArmCrash(site, torn);
+    const auto result = cluster.RenameTo(path, "renamed_demo", dest);
+    std::printf("rename %s → renamed_demo on MDS %d (txn %llu)\n",
+                path.c_str(), dest,
+                static_cast<unsigned long long>(result.rename_id));
+    clean = RecoverAndAudit(cluster, "rename") && clean;
   }
-  std::printf("crashed: %s\n", cluster.crashed() ? "yes" : "no");
-
-  const auto recovery = cluster.Recover();
-  std::printf(
-      "recovered: %zu records replayed%s, %zu rolled forward, %zu rolled "
-      "back, %zu renames rolled forward, %zu renames rolled back, "
-      "%zu records rematerialized, GL v%llu\n",
-      recovery.wal_records_replayed,
-      recovery.torn_tail_detected ? " (torn tail truncated)" : "",
-      recovery.migrations_rolled_forward, recovery.migrations_rolled_back,
-      recovery.renames_rolled_forward, recovery.renames_rolled_back,
-      recovery.records_rematerialized,
-      static_cast<unsigned long long>(recovery.gl_version));
-
-  const FsckReport report = FsckCluster(cluster);
-  std::fputs(FormatFsckReport(report).c_str(), stdout);
   if (wal_out != nullptr) {
     if (cluster.monitor_wal().SaveTo(wal_out))
       std::printf("journal saved to %s\n", wal_out);
     else
       std::fprintf(stderr, "d2fsck: cannot write %s\n", wal_out);
   }
-  return report.clean() ? 0 : 1;
+  return clean ? 0 : 1;
 }
 
 }  // namespace

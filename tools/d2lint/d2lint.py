@@ -10,7 +10,7 @@ Two backends produce the same facts IR:
          `backend-drift` findings)
 
 Rules: exhaustive-switch, registry, codec-bound, discarded-result,
-lock-decl, backend-drift. See tools/d2lint/README.md and DESIGN.md §12.
+lock-decl, backend-drift. See tools/d2lint/README.md and DESIGN.md §11.
 
 Findings ratchet against tools/d2lint/baseline.txt exactly like the
 clang-tidy wall: any finding not in the baseline fails the run; fixed

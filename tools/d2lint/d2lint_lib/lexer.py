@@ -4,7 +4,7 @@ The lexer is deliberately small: it produces exactly the token stream the
 check modules need — identifiers, numbers, punctuators — with comments and
 string/char literals stripped, while *capturing* the `// d2lint: ...`
 annotation comments (the one place a comment carries semantics, see
-DESIGN.md §12 "Annotation grammar"). Preprocessor lines are skipped except
+DESIGN.md §11 "Annotation grammar"). Preprocessor lines are skipped except
 that their line count is preserved so every token's line number matches
 the editor's.
 

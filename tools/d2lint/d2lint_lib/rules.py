@@ -1,6 +1,6 @@
 """d2lint check modules: FactDb → findings.
 
-Rules (DESIGN.md §12 has the catalog):
+Rules (DESIGN.md §11 has the catalog):
   exhaustive-switch  every switch over a protocol enum names every
                      enumerator or carries an annotated default
   registry           every enumerator of a registered enum appears in its

@@ -1,4 +1,4 @@
-// d2sst — inspect sealed SSTable files (DESIGN.md §11).
+// d2sst — inspect sealed SSTable files (DESIGN.md §10).
 //
 //   d2sst verify <table.sst> [more.sst ...]
 //     Full offline audit of each table: footer magic, index/bloom CRCs,
