@@ -2,6 +2,7 @@
 // Table I / Table II substitutions, DESIGN.md §3).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "d2tree/core/layers.h"
@@ -65,6 +66,11 @@ struct ProfileCase {
   double read, write, update;  // Table II row
   std::uint32_t max_depth;     // Table I column
 };
+
+// Print the case by name: gtest's default byte dump would put the name
+// and maker pointers into each listed test name, which then changes from
+// run to run with the load address.
+void PrintTo(const ProfileCase& pc, std::ostream* os) { *os << pc.name; }
 
 class ProfileSweep : public ::testing::TestWithParam<ProfileCase> {};
 
