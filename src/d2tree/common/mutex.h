@@ -8,7 +8,7 @@
 // (see DESIGN.md "Lock hierarchy"):
 //
 //   FaultInjector::mu_ (5) → FunctionalCluster::client_mu_ (10)
-//     → FunctionalCluster::topo_mu_ (20) → FunctionalCluster::gl_mu_ (30)
+//     → FunctionalCluster::topo_mu_ (20) → MonitorService::mu_ (30)
 //     → MdsServer::pulls_mu_ (35) → MetadataStore::mu_ (40)
 //     → Wal::mu_ (45) → SimNetTransport::links_mu_ (50)
 //     → SimNetTransport::log_mu_ (60)

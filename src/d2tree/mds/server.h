@@ -44,6 +44,12 @@ class MdsServer {
   /// Version of the global layer this replica has applied.
   std::uint64_t gl_version() const noexcept { return gl_version_.load(); }
   void set_gl_version(std::uint64_t v) noexcept { gl_version_.store(v); }
+  /// Raises gl_version() to `v` if that is newer (a commit arrived).
+  void AdvanceGlVersion(std::uint64_t v) noexcept {
+    std::uint64_t seen = gl_version_.load();
+    while (seen < v && !gl_version_.compare_exchange_weak(seen, v)) {
+    }
+  }
 
   /// Liveness: a dead server answers nothing (the cluster's fault layer
   /// flips this on KillServer/ReviveServer).
@@ -70,7 +76,7 @@ class MdsServer {
   MdsOpResult Stat(NodeId target, std::span<const NodeId> ancestors) const;
 
   /// Mutates a locally-owned record (local-layer update). Global-layer
-  /// updates go through the cluster (lock + broadcast), not here.
+  /// updates go through the locked round of MdsService (mds/service.h).
   MdsOpResult UpdateLocal(NodeId target, std::span<const NodeId> ancestors,
                           std::uint64_t mtime);
 

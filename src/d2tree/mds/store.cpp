@@ -60,6 +60,21 @@ std::optional<std::uint64_t> MetadataStore::Mutate(NodeId id,
   return record->version;
 }
 
+bool MetadataStore::ApplyVersioned(NodeId id, std::uint64_t version,
+                                   std::uint64_t mtime,
+                                   const std::string& name) {
+  MutexLock lock(&mu_);
+  auto record = engine_->Get(id);
+  if (!record.has_value() || record->version >= version) return false;
+  if (name.empty())
+    record->attrs.mtime = mtime;
+  else
+    record->name = name;
+  record->version = version;
+  engine_->Put(*record);
+  return true;
+}
+
 std::vector<InodeRecord> MetadataStore::ExtractAll(
     const std::vector<NodeId>& ids) {
   MutexLock lock(&mu_);

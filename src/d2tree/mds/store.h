@@ -54,6 +54,14 @@ class MetadataStore {
   /// Returns the new version, or nullopt if not held.
   std::optional<std::uint64_t> Mutate(NodeId id, std::uint64_t mtime);
 
+  /// Applies one versioned global-layer write to a held record: renames
+  /// it to `name` when that is non-empty, else stamps `mtime`, and sets
+  /// its version to `version` — only if `version` is newer than the held
+  /// record's. This is the per-node fence every GL replica applies a
+  /// commit through. False when the record is not held or not older.
+  bool ApplyVersioned(NodeId id, std::uint64_t version, std::uint64_t mtime,
+                      const std::string& name);
+
   /// Extracts all records of a subtree given its member ids (migration
   /// source side); missing ids are skipped.
   std::vector<InodeRecord> ExtractAll(const std::vector<NodeId>& ids);

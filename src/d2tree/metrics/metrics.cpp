@@ -54,7 +54,9 @@ double LatencyHistogram::Quantile(double q) const noexcept {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     if (buckets_[i] == 0) continue;
     const double lo = i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i) - 1);
-    const double hi = std::ldexp(1.0, static_cast<int>(i));
+    // The top bucket ends at the largest observation: interpolating to
+    // its nominal top would report quantiles above the maximum.
+    const double hi = std::min(std::ldexp(1.0, static_cast<int>(i)), max_);
     seen += buckets_[i];
     if (static_cast<double>(seen) >= rank) {
       const double into =

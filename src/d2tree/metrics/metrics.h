@@ -26,8 +26,9 @@ class LatencyHistogram {
   double max() const noexcept { return max_; }
 
   /// Approximate q-quantile (q in [0,1]): locates the bucket holding the
-  /// q-th observation and interpolates linearly inside it. Error is
-  /// bounded by the bucket width (a factor of 2).
+  /// q-th observation and interpolates linearly inside it (the top bucket
+  /// ending at max()). Error is bounded by the bucket width (a factor of
+  /// 2).
   double Quantile(double q) const noexcept;
 
  private:

@@ -41,9 +41,10 @@ class ConcurrentClusterTest : public ::testing::Test {
 };
 
 // Readers + a migration storm: every Stat must succeed (no record is ever
-// observable "in flight") and the audit must hold afterwards. One thread
-// hammers the subtrees owned by MDS 0 so the Monitor has a real hotspot
-// and the adjustment rounds demonstrably move records under the readers.
+// observable "in flight") and the audit must hold afterwards. The subtrees
+// owned by MDS 0 are made a hotspot before the churn starts, and one
+// thread keeps hammering them, so the very first adjustment round already
+// moves records under the readers, however slowly they run.
 TEST_F(ConcurrentClusterTest, StatsNeverFailDuringAdjustmentChurn) {
   const auto paths = SamplePaths(7);
   std::vector<std::string> hot_paths;
@@ -52,6 +53,8 @@ TEST_F(ConcurrentClusterTest, StatsNeverFailDuringAdjustmentChurn) {
   for (std::size_t i = 0; i < subtrees.size(); ++i)
     if (owners[i] == 0) hot_paths.push_back(workload_.tree.PathOf(subtrees[i].root));
   ASSERT_FALSE(hot_paths.empty());
+  for (const std::string& p : hot_paths)
+    for (int hit = 0; hit < 200; ++hit) cluster_.Stat(p);
 
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 1500;

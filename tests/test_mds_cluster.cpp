@@ -184,6 +184,37 @@ TEST_F(FunctionalClusterTest, GlobalUpdateReachesEveryReplica) {
   EXPECT_TRUE(cluster_.CheckConsistency(&error)) << error;
 }
 
+// The audit compares every GL record across the live replicas: one
+// replica whose copy of a node drifted — its mtime, its version or its
+// name — fails it, even though the node is present everywhere.
+TEST_F(FunctionalClusterTest, AuditCatchesOneDivergentGlReplica) {
+  const NodeId gl_node = cluster_.scheme().split().global_layer[1];
+  ASSERT_EQ(cluster_.Update(workload_.tree.PathOf(gl_node), 5).status,
+            MdsStatus::kOk);
+  std::string error;
+  ASSERT_TRUE(cluster_.CheckConsistency(&error)) << error;
+
+  MetadataStore& replica = cluster_.server(2).global_replica();
+  const InodeRecord good = *replica.Get(gl_node);
+  const auto expect_divergence = [&](InodeRecord drifted, const char* what) {
+    replica.Put(drifted);
+    std::string why;
+    EXPECT_FALSE(cluster_.CheckConsistency(&why)) << what;
+    EXPECT_NE(why.find("differs"), std::string::npos) << what << ": " << why;
+    replica.Put(good);
+    EXPECT_TRUE(cluster_.CheckConsistency(&why)) << why;
+  };
+  InodeRecord older = good;
+  older.attrs.mtime = 4;
+  expect_divergence(older, "mtime");
+  InodeRecord behind = good;
+  --behind.version;
+  expect_divergence(behind, "version");
+  InodeRecord renamed = good;
+  renamed.name += "_stale";
+  expect_divergence(renamed, "name");
+}
+
 TEST_F(FunctionalClusterTest, AdjustmentPhysicallyMovesRecordsConsistently) {
   // Hammer one server's subtrees to force migrations, then audit.
   const auto& subtrees = cluster_.scheme().layers().subtrees;

@@ -1,6 +1,6 @@
 // Tests for the paper's metric definitions (Sec. III): jumps (Def. 1),
 // locality (Def. 3 / Eq. 7), loads and balance degree (Def. 5 / Eq. 2),
-// update cost (Def. 4).
+// update cost (Def. 4) — and the latency histogram the benches report.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,6 +36,18 @@ struct Fixture {
     return asg;
   }
 };
+
+// Interpolating inside a power-of-two bucket must not run past the largest
+// observation: 939.64 falls in [512, 1024), whose top is 1024.
+TEST(LatencyHistogram, QuantileNeverExceedsMax) {
+  LatencyHistogram h;
+  for (int i = 0; i < 99; ++i) h.Record(600.0);
+  h.Record(939.64);
+  EXPECT_DOUBLE_EQ(h.max(), 939.64);
+  for (const double q : {0.5, 0.9, 0.99, 0.999, 1.0})
+    EXPECT_LE(h.Quantile(q), h.max()) << "q = " << q;
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 939.64);
+}
 
 TEST(Jumps, ZeroWhenWholePathOnOneMds) {
   Fixture f;

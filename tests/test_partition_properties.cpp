@@ -119,7 +119,9 @@ TEST(MirrorDivisionProperties, ZeroCapacityMdsReceivesNothing) {
     for (std::size_t i = 0; i < owners.size(); ++i)
       load[owners[i]] += c.layers.subtrees[i].popularity;
     for (std::size_t k = 0; k < c.capacities.size(); ++k) {
-      if (c.capacities[k] == 0.0) EXPECT_EQ(load[k], 0.0) << "trial " << trial;
+      if (c.capacities[k] == 0.0) {
+        EXPECT_EQ(load[k], 0.0) << "trial " << trial;
+      }
     }
   }
 }

@@ -146,7 +146,9 @@ TEST(UniformSampleDkw, SampleCountInversionIsTight) {
     for (const double p : {1e-2, 1e-3}) {
       const std::size_t k = DkwSampleCountFor(eps, p);
       EXPECT_LE(DkwTailProbability(k, eps), p);
-      if (k > 1) EXPECT_GT(DkwTailProbability(k - 1, eps), p);
+      if (k > 1) {
+        EXPECT_GT(DkwTailProbability(k - 1, eps), p);
+      }
     }
   }
 }

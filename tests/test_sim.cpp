@@ -20,7 +20,7 @@ class FixedRouter : public RoutePlanner {
  public:
   explicit FixedRouter(MdsId target) : target_(target) {}
   RoutePlan PlanRoute(const TraceRecord&, Rng&) const override {
-    return {{target_}, false, false};
+    return {{target_}, false, false, false, {}};
   }
 
  private:
@@ -32,7 +32,7 @@ class UniformRouter : public RoutePlanner {
  public:
   explicit UniformRouter(std::size_t m) : m_(m) {}
   RoutePlan PlanRoute(const TraceRecord&, Rng& rng) const override {
-    return {{static_cast<MdsId>(rng.NextBounded(m_))}, false, false};
+    return {{static_cast<MdsId>(rng.NextBounded(m_))}, false, false, false, {}};
   }
 
  private:
@@ -95,7 +95,7 @@ TEST(ClusterSim, MoreHopsMeanMoreLatency) {
   class TwoHopRouter : public RoutePlanner {
    public:
     RoutePlan PlanRoute(const TraceRecord&, Rng&) const override {
-      return {{0, 1}, false, false};
+      return {{0, 1}, false, false, false, {}};
     }
   };
   const FixedRouter one(0);
@@ -116,7 +116,7 @@ TEST(ClusterSim, GlobalUpdatesSerializePerNode) {
   class GlUpdateRouter : public RoutePlanner {
    public:
     RoutePlan PlanRoute(const TraceRecord&, Rng& rng) const override {
-      return {{static_cast<MdsId>(rng.NextBounded(8))}, true, false};
+      return {{static_cast<MdsId>(rng.NextBounded(8))}, true, false, false, {}};
     }
   };
   const GlUpdateRouter router;
@@ -137,7 +137,7 @@ TEST(ClusterSim, UpdatesToDistinctNodesDoNotSerialize) {
   class GlUpdateRouter : public RoutePlanner {
    public:
     RoutePlan PlanRoute(const TraceRecord&, Rng& rng) const override {
-      return {{static_cast<MdsId>(rng.NextBounded(8))}, true, false};
+      return {{static_cast<MdsId>(rng.NextBounded(8))}, true, false, false, {}};
     }
   };
   const GlUpdateRouter router;
