@@ -169,7 +169,90 @@ TEST(SimNetTransport, PartitionDefeatsReliableSend) {
           .delivered);
 }
 
+// CallAll's legs fan out concurrently, so the caller's clock is charged
+// the slowest leg, not their sum.
+TEST(SimNetTransport, CallAllChargesTheSlowestLeg) {
+  SimNetConfig cfg;
+  cfg.jitter_mean_us = 0.0;
+  SimNetTransport net(cfg);
+  const Address peers[] = {MdsAddress(1), MdsAddress(2), MdsAddress(3)};
+  for (const Address& peer : peers)
+    ASSERT_TRUE(net.Bind(peer, [](const Address&, const Message& req) {
+      Message ack = req;
+      ack.status = MdsStatus::kOk;
+      return ack;
+    }));
+  std::vector<Message> acks;
+  const double start = Transport::ThreadClockUs();
+  const std::vector<Delivery> legs =
+      net.CallAll(MdsAddress(0), peers, {MsgType::kGlCommit}, &acks);
+  ASSERT_EQ(legs.size(), 3u);
+  ASSERT_EQ(acks.size(), 3u);
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    EXPECT_TRUE(legs[i].delivered) << "leg " << i;
+    EXPECT_EQ(acks[i].type, MsgType::kGlCommit) << "leg " << i;
+  }
+  EXPECT_DOUBLE_EQ(Transport::ThreadClockUs() - start,
+                   2 * cfg.base_latency_us);
+}
+
+// A posted message is resent while its legs are lost, at no cost to the
+// caller's clock: on a link that drops half its messages nearly every post
+// still arrives (one in two would without the resends).
+TEST(SimNetTransport, PostResendsLostMessagesAtNoCost) {
+  SimNetConfig cfg;
+  cfg.jitter_mean_us = 0.0;
+  SimNetTransport net(cfg);
+  ASSERT_TRUE(net.SetLinkDropRate(MdsAddress(0), MonitorAddress(), 0.5));
+  std::vector<bool> arrived(40, false);
+  ASSERT_TRUE(net.Bind(MonitorAddress(),
+                       [&](const Address&, const Message& req) {
+                         arrived[req.target] = true;
+                         return req;
+                       }));
+  const double start = Transport::ThreadClockUs();
+  for (NodeId i = 0; i < arrived.size(); ++i)
+    net.Post(MdsAddress(0), MonitorAddress(),
+             {.type = MsgType::kGlCommit, .target = i});
+  EXPECT_EQ(Transport::ThreadClockUs(), start);
+  EXPECT_GE(std::count(arrived.begin(), arrived.end(), true), 34);
+}
+
 // --- Network faults against the live cluster.
+
+// A lock round whose answers are all lost may still have been granted:
+// the Monitor then handed out a version no replica applied, and every
+// replica lags the master. The next sweep must rebuild them from the
+// replicas' own data, not re-materialize the namespace over acked writes.
+TEST(NetworkFaults, LostLockGrantsKeepAckedGlWrites) {
+  const Workload w = SmallWorkload();
+  SimNetConfig cfg;
+  cfg.jitter_mean_us = 0.0;
+  auto net = std::make_shared<SimNetTransport>(cfg);
+  FunctionalCluster cluster(w.tree, kMds, {}, net);
+  const auto& gl = cluster.scheme().split().global_layer;
+  ASSERT_GE(gl.size(), 3u);
+  ASSERT_EQ(cluster.Update(w.tree.PathOf(gl[1]), 4242).status,
+            MdsStatus::kOk);
+
+  for (MdsId k = 0; k < static_cast<MdsId>(kMds); ++k)
+    ASSERT_TRUE(net->SetLinkDropRate(MonitorAddress(), MdsAddress(k), 0.3));
+  int failed = 0;
+  for (int i = 0; i < 60; ++i)
+    failed += cluster.Update(w.tree.PathOf(gl[2]), 100 + i).status !=
+              MdsStatus::kOk;
+  ASSERT_GT(failed, 0) << "no lock round was lost";
+  for (MdsId k = 0; k < static_cast<MdsId>(kMds); ++k)
+    ASSERT_TRUE(net->SetLinkDropRate(MonitorAddress(), MdsAddress(k), 0.0));
+
+  cluster.RunAdjustmentRound();
+  std::string why;
+  EXPECT_TRUE(cluster.CheckConsistency(&why)) << why;
+  for (MdsId k = 0; k < static_cast<MdsId>(kMds); ++k)
+    EXPECT_EQ(cluster.server(k).global_replica().Get(gl[1])->attrs.mtime,
+              4242u)
+        << "replica " << k << " lost an acked write";
+}
 
 // A fully lossy client⇄owner link: local-layer ops on that owner pay the
 // bounded failover (one retry) and then fail; healing the link restores
