@@ -35,15 +35,9 @@ FunctionalCluster::FunctionalCluster(const NamespaceTree& tree,
                      : std::make_shared<InProcessTransport>()),
       store_spec_(std::move(store)) {
   assert(mds_count > 0);
-  if (store_spec_.persistent()) {
-    // Sealed tables in flight live under <data_dir>/ship; per-server
-    // engine roots are created by the engines themselves.
-    std::error_code ec;
-    std::filesystem::create_directories(store_spec_.data_dir + "/ship", ec);
-  }
   // Nobody else can reach `this` yet, but the guarded members are
-  // initialized under the placement lock so every access — including the
-  // ones inside Materialize() — carries its capability.
+  // initialized under the placement lock so every access carries its
+  // capability.
   WriterMutexLock topo(&topo_mu_);
   capacities_ = MdsCluster::Homogeneous(mds_count);
   scheme_ = D2TreeScheme(std::move(config));
@@ -63,7 +57,10 @@ FunctionalCluster::FunctionalCluster(const NamespaceTree& tree,
                          [this](const Address& from, const Message& req) {
                            return ServeMonitor(from, req);
                          });
-  Materialize();
+  for (const auto& service : services_) {
+    service->LoadGlReplica();
+    service->LoadShard();
+  }
   // Genesis checkpoint: a crash before the first adjustment round must
   // recover to the initial partition.
   JournalCapacitiesLocked();
@@ -118,9 +115,7 @@ double FunctionalCluster::gl_lock_wait_seconds() const {
 
 StoreSpec FunctionalCluster::ServerStoreSpec(MdsId id) const {
   StoreSpec spec = store_spec_;
-  if (spec.only_mds >= 0 && spec.only_mds != id) return StoreSpec{};
-  if (spec.persistent())
-    spec.data_dir += "/mds" + std::to_string(id);
+  if (spec.persistent()) spec.data_dir += "/mds" + std::to_string(id);
   return spec;
 }
 
@@ -231,60 +226,6 @@ void FunctionalCluster::JournalCapacitiesLocked() {
   monitor_wal_.Append(record);
 }
 
-InodeRecord FunctionalCluster::MakeRecord(NodeId id) const {
-  const MetaNode& n = tree_.node(id);
-  InodeRecord r;
-  r.id = id;
-  r.parent = n.parent;
-  r.name = n.name;
-  r.type = n.type;
-  r.attrs.mode = n.is_directory() ? 0755 : 0644;
-  r.attrs.size = n.is_directory() ? 4096 : 1024;
-  r.version = 1;
-  return r;
-}
-
-void FunctionalCluster::Materialize() {
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    if (!assignment_.IsReplicated(id)) continue;
-    const InodeRecord record = MakeRecord(id);
-    for (auto& server : servers_) server->global_replica().Put(record);
-  }
-  for (auto& server : servers_) {
-    ReconcileLocalStoreLocked(server->id());
-    server->set_gl_version(monitor_.version());
-  }
-}
-
-std::size_t FunctionalCluster::ReconcileLocalStoreLocked(MdsId mds) {
-  MetadataStore& local = servers_[mds]->local();
-  // A persistent store that opened existing data resumes rather than
-  // restarts: anything the placement no longer puts here (migrated away,
-  // promoted into the replicated crown, or pinned to an in-flight
-  // handoff whose records arrive via the re-issued pull) is dropped.
-  if (store_spec_.persistent()) {
-    for (NodeId held : local.HeldIds())
-      if (held >= tree_.size() || assignment_.OwnerOf(held) != mds ||
-          parked_nodes_.contains(held))
-        local.Remove(held);
-  }
-  // Fill only what is missing or disagrees with the namespace: a record
-  // the durable store kept keeps its mutated mtime and version, one
-  // surviving from before a rename is re-stamped.
-  std::size_t filled = 0;
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    if (assignment_.OwnerOf(id) != mds || parked_nodes_.contains(id)) continue;
-    const InodeRecord record = MakeRecord(id);
-    const auto held = local.Get(id);
-    if (held.has_value() && held->name == record.name &&
-        held->parent == record.parent && held->type == record.type)
-      continue;
-    local.Put(record);
-    ++filled;
-  }
-  return filled;
-}
-
 void FunctionalCluster::RestoreAppliedPullsLocked(MdsId mds) {
   std::vector<std::uint64_t> applied;
   for (const WalRecord& r : mds_wals_[mds]->Replay())
@@ -335,11 +276,7 @@ void FunctionalCluster::RebuildGlReplicaLocked(MdsId mds) {
   } else {
     // No live replica to copy from: re-materialize from the backing store
     // (update history is lost, but the namespace itself is durable).
-    for (NodeId id = 0; id < tree_.size(); ++id) {
-      if (!assignment_.IsReplicated(id)) continue;
-      replica.Put(MakeRecord(id));
-      ++rebuild.payload_records;
-    }
+    rebuild.payload_records = services_[mds]->LoadGlReplica();
   }
   // The bulk transfer rides the wire (donor replica, else the Monitor's
   // backing store); the rebuild itself is fenced by the placement epoch,
@@ -756,7 +693,7 @@ bool FunctionalCluster::ReviveServer(MdsId mds) {
   // again nobody would re-place them, so their records come back with it,
   // re-materialized from the backing store; whatever was re-placed while
   // it was dead must not resurface here as a second copy.
-  recovered_records_.fetch_add(ReconcileLocalStoreLocked(mds),
+  recovered_records_.fetch_add(services_[mds]->LoadShard(parked_nodes_),
                                std::memory_order_relaxed);
   // The pull-dedup set is volatile; rebuild it from this server's journal
   // so a pull retransmitted across the crash is still dropped.
@@ -850,7 +787,8 @@ void FunctionalCluster::ExtractTxnLocked(Txn& txn) {
       extracted.reserve(txn.records.size());
       for (const InodeRecord& r : txn.records) extracted.insert(r.id);
       for (NodeId v : txn.members)
-        if (!extracted.contains(v)) txn.records.push_back(MakeRecord(v));
+        if (!extracted.contains(v))
+          txn.records.push_back(MakeRecord(tree_, v));
       recovered_records_.fetch_add(txn.members.size() - extracted.size(),
                                    std::memory_order_relaxed);
     }
@@ -873,14 +811,15 @@ bool FunctionalCluster::DeliverTxnLocked(Txn& txn, const Address& sender) {
   const std::uint64_t id = txn.intent.txn_id;
   const MdsId to = txn.intent.to;
   // With a persistent backend the subtree travels as one sealed SSTable
-  // the destination ingests by file link-in; otherwise the pull carries
-  // the records. A seal failure (disk trouble) silently degrades to the
-  // per-record path.
+  // (under <data_dir>/ship) the destination ingests by file link-in;
+  // otherwise the pull carries the records. A seal failure (disk trouble)
+  // silently degrades to the per-record path.
   if (txn.table.empty() && store_spec_.persistent() && !txn.records.empty()) {
-    txn.table =
-        store_spec_.data_dir + "/ship/txn" + std::to_string(id) + ".sst";
+    const std::string ship = store_spec_.data_dir + "/ship";
+    std::error_code ec;
+    std::filesystem::create_directories(ship, ec);
+    txn.table = ship + "/txn" + std::to_string(id) + ".sst";
     if (!WriteRecordsTable(txn.records, txn.table)) {
-      std::error_code ec;
       std::filesystem::remove(txn.table, ec);
       txn.table.clear();
     }
@@ -1067,60 +1006,15 @@ bool FunctionalCluster::CheckConsistency(std::string* error) const {
   for (const auto& server : servers_)
     if (server->alive()) live.push_back(server.get());
   if (live.empty()) return fail("no server is alive");
-  // Per-node placement audit, over the live membership.
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    if (assignment_.IsReplicated(id)) {
-      // Replicas learn GL writes only from commits: a lost or misapplied
-      // one shows up as a record that differs from the first replica's.
-      const auto first = live.front()->global_replica().Get(id);
-      for (const MdsServer* server : live) {
-        const auto rec = server->global_replica().Get(id);
-        if (!rec.has_value())
-          return fail("GL node " + tree_.PathOf(id) + " missing on server " +
-                      std::to_string(server->id()));
-        if (rec->version != first->version ||
-            rec->attrs.mtime != first->attrs.mtime || rec->name != first->name)
-          return fail("GL node " + tree_.PathOf(id) + " on server " +
-                      std::to_string(server->id()) + " differs from server " +
-                      std::to_string(live.front()->id()) + " (version " +
-                      std::to_string(rec->version) + " vs " +
-                      std::to_string(first->version) + ")");
-        if (server->local().Contains(id))
-          return fail("GL node " + tree_.PathOf(id) + " duplicated locally");
-      }
-    } else {
-      const MdsId owner = assignment_.OwnerOf(id);
-      const bool owner_alive = AliveLocked(owner);
-      std::size_t holders = 0;
-      for (const MdsServer* server : live) {
-        holders += server->local().Contains(id);
-        if (server->global_replica().Contains(id))
-          return fail("LL node " + tree_.PathOf(id) + " found in a GL replica");
-      }
-      if (parked_nodes_.contains(id)) {
-        // Mid-handoff: the records sit in the pending pool awaiting the
-        // re-issued pull — nobody may hold them meanwhile (a holder here
-        // is exactly the double-assign the two-phase protocol forbids).
-        if (holders != 0)
-          return fail("parked LL node " + tree_.PathOf(id) +
-                      " held by a live server");
-      } else if (owner_alive) {
-        if (holders != 1)
-          return fail("LL node " + tree_.PathOf(id) + " held by " +
-                      std::to_string(holders) + " servers");
-        if (!servers_[owner]->local().Contains(id))
-          return fail("LL node " + tree_.PathOf(id) + " not at its owner");
-      } else if (holders != 0) {
-        // Owner crashed: the node is orphaned until an adjustment round
-        // re-places its subtree — nobody else may claim it meanwhile.
-        return fail("orphaned LL node " + tree_.PathOf(id) +
-                    " held by a live server");
-      }
-    }
-  }
+  // Cross-replica: replicas learn GL writes only from commits, so a lost
+  // or misapplied one shows up as a replica that differs from the first.
+  const auto first = live.front()->global_replica().Snapshot();
+  for (const MdsServer* server : live)
+    if (server->global_replica().Snapshot() != first)
+      return fail("GL replica on server " + std::to_string(server->id()) +
+                  " differs from server " + std::to_string(live.front()->id()));
   // Replica versions (live replicas only; the dead catch up on revive):
-  // all at one version, none behind the master. (A daemon's model sees
-  // versions its remote Monitor assigned, ahead of its own master.)
+  // all at one version, none behind the master.
   const std::uint64_t master = monitor_.version();
   for (const MdsServer* server : live) {
     if (server->gl_version() < master ||
@@ -1128,19 +1022,11 @@ bool FunctionalCluster::CheckConsistency(std::string* error) const {
       return fail("server " + std::to_string(server->id()) +
                   " GL replica at stale version");
   }
-  // Record ↔ namespace agreement (spot fields).
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    const MdsId owner = assignment_.OwnerOf(id);
-    if (owner != kReplicated &&
-        (!AliveLocked(owner) || parked_nodes_.contains(id)))
-      continue;  // orphaned or mid-handoff
-    const auto rec = owner == kReplicated
-                         ? live.front()->global_replica().Get(id)
-                         : servers_[owner]->local().Get(id);
-    if (!rec.has_value()) return fail("record lost for " + tree_.PathOf(id));
-    if (rec->name != tree_.node(id).name || rec->parent != tree_.node(id).parent)
-      return fail("record mismatch for " + tree_.PathOf(id));
-  }
+  // Each live server holds what the placement gives it, and no more: so
+  // a node whose owner is dead (orphaned until a round re-places it) or
+  // parked mid-handoff is held by nobody.
+  for (const MdsServer* server : live)
+    if (!services_[server->id()]->Audit(parked_nodes_, error)) return false;
   return true;
 }
 
@@ -1211,7 +1097,6 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
   if (persistent) {
     std::error_code ec;
     std::filesystem::remove_all(store_spec_.data_dir + "/ship", ec);
-    std::filesystem::create_directories(store_spec_.data_dir + "/ship", ec);
   }
   monitor_.Reset(gl_version);  // leases of rounds the crash cut are void
 
@@ -1267,7 +1152,8 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
   for (const auto& server : servers_) {
     if (!server->alive()) continue;
     RebuildGlReplicaLocked(server->id());
-    report.records_rematerialized += ReconcileLocalStoreLocked(server->id());
+    report.records_rematerialized +=
+        services_[server->id()]->LoadShard(parked_nodes_);
   }
   recovered_records_.fetch_add(report.records_rematerialized,
                                std::memory_order_relaxed);

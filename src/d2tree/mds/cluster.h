@@ -112,7 +112,7 @@ class FunctionalCluster {
   /// the per-server local-store backend: the default in-memory map, or
   /// the LSM engine under `store.data_dir/mds<k>/` — in which case a
   /// restart with the same directory resumes from the durable namespace
-  /// (Materialize only fills what the stores do not already hold) and
+  /// (MdsService::LoadShard only fills what a store does not hold) and
   /// subtree handoffs ship as sealed SSTables (one kBulkTable leg +
   /// file link-in) instead of per-record streams.
   FunctionalCluster(const NamespaceTree& tree, std::size_t mds_count,
@@ -273,15 +273,13 @@ class FunctionalCluster {
   /// Returns the number of migrated records.
   std::size_t RunAdjustmentRound();
 
-  /// Audits the invariants over the *alive* servers: every namespace node
-  /// whose owner is alive is stored exactly once in local stores XOR on
-  /// every live server's GL replica; nodes orphaned by a crash (owner
-  /// dead, not yet re-placed) are held by nobody; every live GL replica
-  /// holds the same record (version, mtime, name) of each GL node and has
-  /// applied the same GL version, none behind the master version;
-  /// record/namespace agreement. Safe to call while client threads are
-  /// active (it waits for the ops in flight and holds new ones off).
-  /// Returns true when clean; otherwise fills `error`.
+  /// Audits the *alive* servers: each passes MdsService::Audit, so a node
+  /// whose owner is alive is held once (at its owner, or on every GL
+  /// replica) and one orphaned by a crash or parked mid-handoff by nobody;
+  /// the GL replicas hold equal records at one GL version, none behind the
+  /// master. Safe to call while client threads are active (it waits for
+  /// the ops in flight and holds new ones off). Returns true when clean;
+  /// otherwise fills `error`.
   bool CheckConsistency(std::string* error) const;
 
   // --- Durability & crash recovery (DESIGN.md §7). ---
@@ -440,10 +438,6 @@ class FunctionalCluster {
   std::size_t CheckPathIntegrity(std::string* error) const;
 
  private:
-  InodeRecord MakeRecord(NodeId id) const;
-  /// Loads every record into the right store. Called from the constructor
-  /// under the exclusive placement hold it takes for initialization.
-  void Materialize() D2T_REQUIRES(topo_mu_);
   /// Client-side stub: sends the request leg(s) for `target` entering at
   /// `at`, drives the server-side handler, pays forward/failover legs and
   /// fills the per-op telemetry.
@@ -492,10 +486,6 @@ class FunctionalCluster {
   /// The live servers other than `mds` (a GL commit's fan-out). Runs
   /// inside a handler, under the caller's placement hold.
   std::vector<MdsId> GlPeersOf(MdsId mds) const D2T_NO_THREAD_SAFETY_ANALYSIS;
-  /// Brings `mds`'s local store in line with the placement: drops durable
-  /// records placed elsewhere (persistent backend), fills missing or stale
-  /// ones from the backing store. Returns the records filled.
-  std::size_t ReconcileLocalStoreLocked(MdsId mds) D2T_REQUIRES(topo_mu_);
   /// Rebuilds `mds`'s pull-dedup set from its own journal.
   void RestoreAppliedPullsLocked(MdsId mds) D2T_REQUIRES(topo_mu_);
   /// Control-plane send under `policy`: retries with capped backoff,

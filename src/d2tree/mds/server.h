@@ -23,12 +23,10 @@ struct MdsOpResult {
 
 class MdsServer {
  public:
-  explicit MdsServer(MdsId id) : id_(id) {}
-
   /// Server whose authoritative local store is backed per `spec` (the LSM
   /// engine when a data dir is configured). The GL replica always stays in
   /// memory: it is derived state, rebuilt from the owners on boot/revive.
-  MdsServer(MdsId id, const StoreSpec& spec)
+  explicit MdsServer(MdsId id, const StoreSpec& spec = {})
       : id_(id), local_(MakeStoreEngine(spec, "local")) {}
 
   MdsId id() const noexcept { return id_; }

@@ -32,6 +32,19 @@ std::uint64_t AddressKey(const Address& a) {
 
 }  // namespace
 
+InodeRecord MakeRecord(const NamespaceTree& tree, NodeId id) {
+  const MetaNode& n = tree.node(id);
+  InodeRecord r;
+  r.id = id;
+  r.parent = n.parent;
+  r.name = n.name;
+  r.type = n.type;
+  r.attrs.mode = n.is_directory() ? 0755 : 0644;
+  r.attrs.size = n.is_directory() ? 4096 : 1024;
+  r.version = 1;
+  return r;
+}
+
 // --- MdsService -------------------------------------------------------------
 
 MdsService::MdsService(MdsServer& server, const NamespaceTree& tree,
@@ -213,6 +226,71 @@ bool MdsService::FanOut(const Message& commit) {
     pending = std::move(again);
   }
   return pending.empty();
+}
+
+std::size_t MdsService::LoadGlReplica() {
+  MetadataStore& replica = server_.global_replica();
+  replica.Clear();
+  for (NodeId id = 0; id < tree_.size(); ++id)
+    if (assignment_.IsReplicated(id)) replica.Put(MakeRecord(tree_, id));
+  server_.set_gl_version(MonitorService::kFirstVersion);
+  return replica.size();
+}
+
+std::size_t MdsService::LoadShard(const std::unordered_set<NodeId>& parked) {
+  MetadataStore& local = server_.local();
+  const auto mine = [&](NodeId id) {
+    return id < tree_.size() && assignment_.OwnerOf(id) == server_.id() &&
+           !parked.contains(id);
+  };
+  // A durable store may reopen on records since migrated away, promoted
+  // into the GL, or parked for a re-issued pull: those go.
+  for (NodeId held : local.HeldIds())
+    if (!mine(held)) local.Remove(held);
+  // A kept record keeps its mtime and version; one from before a rename
+  // is re-stamped.
+  std::size_t filled = 0;
+  for (NodeId id = 0; id < tree_.size(); ++id) {
+    if (!mine(id)) continue;
+    const InodeRecord record = MakeRecord(tree_, id);
+    const auto held = local.Get(id);
+    if (held.has_value() && held->name == record.name &&
+        held->parent == record.parent && held->type == record.type)
+      continue;
+    local.Put(record);
+    ++filled;
+  }
+  return filled;
+}
+
+bool MdsService::Audit(const std::unordered_set<NodeId>& parked,
+                       std::string* error) const {
+  const MetadataStore& replica = server_.global_replica();
+  const MetadataStore& local = server_.local();
+  const auto fail = [&](NodeId id, const std::string& what) {
+    if (error != nullptr)
+      *error = tree_.PathOf(id) + ": " + what + " on server " +
+               std::to_string(server_.id());
+    return false;
+  };
+  for (NodeId id = 0; id < tree_.size(); ++id) {
+    const bool gl = assignment_.IsReplicated(id);
+    // A parked node is mid-handoff: its records wait in the pending pool
+    // for the re-issued pull, so nobody may hold it meanwhile.
+    const bool mine = !gl && assignment_.OwnerOf(id) == server_.id() &&
+                      !parked.contains(id);
+    if (!gl && replica.Contains(id)) return fail(id, "LL node in GL replica");
+    if (!mine && local.Contains(id))
+      return fail(id, gl ? "GL node in local store" : "LL node at non-owner");
+    if (!gl && !mine) continue;
+    const auto rec = gl ? replica.Get(id) : local.Get(id);
+    if (!rec.has_value())
+      return fail(id, gl ? "GL node missing" : "LL node missing");
+    if (rec->name != tree_.node(id).name ||
+        rec->parent != tree_.node(id).parent)
+      return fail(id, "record differs from the namespace");
+  }
+  return true;
 }
 
 // --- MonitorService ---------------------------------------------------------

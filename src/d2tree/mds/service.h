@@ -11,12 +11,17 @@
 // one CallAll; then, after the acks, releases the lock by posting the same
 // kGlCommit to the Monitor. A replica applies a commit only if its version
 // is newer than the node's stored InodeRecord::version.
+//
+// MdsService also loads one server from the namespace and audits it; the
+// cluster does both for each of its servers, an mdsd daemon for its own.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "d2tree/common/mutex.h"
@@ -26,6 +31,9 @@
 #include "d2tree/nstree/tree.h"
 
 namespace d2tree {
+
+/// Node `id`'s record as the namespace defines it, before any write.
+InodeRecord MakeRecord(const NamespaceTree& tree, NodeId id);
 
 class MdsService {
  public:
@@ -60,6 +68,22 @@ class MdsService {
   /// Wall time this server's GL rounds spent waiting on a busy lock, ns.
   std::uint64_t lock_wait_ns() const noexcept { return lock_wait_ns_.load(); }
 
+  /// Refills the GL replica from the namespace, at
+  /// MonitorService::kFirstVersion. Returns the records loaded.
+  std::size_t LoadGlReplica();
+
+  /// Brings the local store in line with the placement: drops records
+  /// placed elsewhere or `parked`, fills owned ones that are missing or
+  /// disagree with the namespace (one that agrees keeps its mtime and
+  /// version). Returns the records filled.
+  std::size_t LoadShard(const std::unordered_set<NodeId>& parked = {});
+
+  /// Audits this server against the placement: the GL replica holds
+  /// exactly the GL nodes, the local store exactly the owned LL nodes but
+  /// `parked`, each record as the namespace names it. False fills `error`.
+  bool Audit(const std::unordered_set<NodeId>& parked,
+             std::string* error) const;
+
  private:
   /// False (answer filled in) for no such node, or another's LL node.
   bool Routable(NodeId target, Message* resp) const;
@@ -91,6 +115,8 @@ class MonitorService {
   /// as long as a socket call's deadline, so only a dead or cut-off
   /// holder loses its lease, never a round that is merely slow.
   static constexpr std::uint64_t kLeaseUs = 2'000'000;
+  /// The version before any GL write.
+  static constexpr std::uint64_t kFirstVersion = 1;
 
   /// `journal`, if set, gets a kGlVersion record for every version the
   /// Monitor assigns, before the grant is answered. `clock` defaults to
@@ -124,7 +150,7 @@ class MonitorService {
   /// Lock table and version counter (rank 30, DESIGN.md §6); held across
   /// the kGlVersion append so versions reach the journal in order.
   mutable Mutex mu_ D2T_LOCK_RANK(30);
-  std::uint64_t version_ D2T_GUARDED_BY(mu_) = 1;
+  std::uint64_t version_ D2T_GUARDED_BY(mu_) = kFirstVersion;
   std::unordered_map<NodeId, Lease> leases_ D2T_GUARDED_BY(mu_);
 };
 

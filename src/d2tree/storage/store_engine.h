@@ -113,10 +113,6 @@ struct StoreSpec {
   Backend backend = Backend::kMemory;
   /// LSM root directory for this store instance; created on demand.
   std::string data_dir;
-  /// Restrict persistence to one server id (>= 0): a daemon process hosts
-  /// exactly one MDS role, so the other servers in its local cluster
-  /// model are bystanders and stay in memory. -1 = every server persists.
-  std::int32_t only_mds = -1;
 
   /// True when the spec actually produces a durable engine: the LSM
   /// backend degrades to the memory engine without a data directory.

@@ -215,6 +215,29 @@ TEST_F(FunctionalClusterTest, AuditCatchesOneDivergentGlReplica) {
   expect_divergence(renamed, "name");
 }
 
+// The audit runs the per-server audit on every live server: a local-layer
+// record on a server that does not own it fails it, and so does one left
+// on a live server after its owner crashed (an orphan nobody may hold).
+TEST_F(FunctionalClusterTest, AuditCatchesALocalRecordOffItsOwner) {
+  NodeId node = kInvalidNode;
+  for (NodeId id = 0; id < workload_.tree.size() && node == kInvalidNode; ++id)
+    if (cluster_.assignment().OwnerOf(id) == 1) node = id;
+  ASSERT_NE(node, kInvalidNode);
+  const InodeRecord record = *cluster_.server(1).local().Get(node);
+  std::string why;
+  cluster_.server(2).local().Put(record);
+  EXPECT_FALSE(cluster_.CheckConsistency(&why));
+  EXPECT_NE(why.find("non-owner"), std::string::npos) << why;
+  cluster_.server(2).local().Remove(node);
+  ASSERT_TRUE(cluster_.CheckConsistency(&why)) << why;
+
+  ASSERT_TRUE(cluster_.KillServer(1));
+  ASSERT_TRUE(cluster_.CheckConsistency(&why)) << why;
+  cluster_.server(2).local().Put(record);
+  EXPECT_FALSE(cluster_.CheckConsistency(&why));
+  EXPECT_NE(why.find("non-owner"), std::string::npos) << why;
+}
+
 TEST_F(FunctionalClusterTest, AdjustmentPhysicallyMovesRecordsConsistently) {
   // Hammer one server's subtrees to force migrations, then audit.
   const auto& subtrees = cluster_.scheme().layers().subtrees;

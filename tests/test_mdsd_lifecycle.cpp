@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -26,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "d2tree/core/d2tree.h"
 #include "d2tree/durability/fsck.h"
 #include "d2tree/mds/cluster.h"
 #include "d2tree/net/endpoint.h"
@@ -125,14 +127,20 @@ bool AwaitListening(const Daemon& d) {
 }
 
 /// Reaps the daemon and returns its exit code (-1 = killed by signal).
-int Reap(Daemon* d) {
+/// `last_line`, if set, gets the last line the daemon printed.
+int Reap(Daemon* d, std::string* last_line = nullptr) {
   if (d->out_fd >= 0) {
     // Drain remaining output so the daemon never blocks on stdout.
+    std::string out;
     char buf[4096];
-    while (::read(d->out_fd, buf, sizeof(buf)) > 0) {
-    }
+    for (ssize_t n; (n = ::read(d->out_fd, buf, sizeof(buf))) > 0;)
+      out.append(buf, static_cast<std::size_t>(n));
     ::close(d->out_fd);
     d->out_fd = -1;
+    if (last_line != nullptr) {
+      while (!out.empty() && out.back() == '\n') out.pop_back();
+      *last_line = out.substr(out.find_last_of('\n') + 1);
+    }
   }
   int status = 0;
   if (::waitpid(d->pid, &status, 0) != d->pid) return -2;
@@ -312,7 +320,7 @@ TEST_F(MdsdLifecycle, CrashMidReplayFailoverAndRevive) {
     EXPECT_EQ(revived.record, want.record);
   }
 
-  // Phase 4 — clean SIGTERM: every daemon drains, audits its model and
+  // Phase 4 — clean SIGTERM: every daemon drains, audits its own state and
   // exits 0 (a failed consistency audit exits 1).
   client.Shutdown();
   for (Daemon* daemon : {&mds_[0], &mds_[1], &mds_[2], &monitor_}) {
@@ -471,9 +479,96 @@ TEST_F(MdsdLifecycle, MoreGlWritersThanWorkersAllAck) {
   }
 }
 
+/// The value of `"key": <number>` in a daemon's JSON summary line.
+std::size_t JsonCount(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\": ");
+  if (at == std::string::npos) return static_cast<std::size_t>(-1);
+  return std::strtoull(line.c_str() + at + key.size() + 4, nullptr, 10);
+}
+
+// Each role holds only its part of the system: the Monitor no records at
+// all, each MDS exactly the local-layer records it owns, so the three
+// shards add up to the namespace's local layer.
+TEST_F(MdsdLifecycle, EachRoleHoldsOnlyItsOwnState) {
+  TraceProfile profile = LmbeProfile(std::atof(kScale));
+  profile.seed = static_cast<std::uint64_t>(std::atoll(kSeed));
+  const Workload workload = GenerateWorkload(profile);
+  const Assignment assignment = D2TreeScheme{}.Partition(
+      workload.tree, MdsCluster::Homogeneous(kMds));
+  std::size_t owned[kMds] = {0, 0, 0};
+  std::size_t ll_nodes = 0;
+  for (NodeId n = 0; n < workload.tree.size(); ++n) {
+    const MdsId owner = assignment.OwnerOf(n);
+    if (owner == kReplicated) continue;
+    ++owned[owner];
+    ++ll_nodes;
+  }
+
+  std::string line;
+  ASSERT_EQ(::kill(monitor_.pid, SIGTERM), 0);
+  EXPECT_EQ(Reap(&monitor_, &line), 0);
+  EXPECT_NE(line.find("\"store\": \"none\""), std::string::npos) << line;
+  EXPECT_EQ(JsonCount(line, "store_records"), 0u) << line;
+  EXPECT_NE(line.find("\"consistent\": true"), std::string::npos) << line;
+  std::size_t held = 0;
+  for (std::size_t i = 0; i < kMds; ++i) {
+    ASSERT_EQ(::kill(mds_[i].pid, SIGTERM), 0);
+    EXPECT_EQ(Reap(&mds_[i], &line), 0) << "mds" << i << ": " << line;
+    EXPECT_EQ(JsonCount(line, "store_records"), owned[i])
+        << "mds" << i << ": " << line;
+    held += JsonCount(line, "store_records");
+  }
+  EXPECT_EQ(held, ll_nodes);
+}
+
+/// Runs mdsd with `args` and returns its exit code, or -1 when it is
+/// still running after `timeout_s` (then it is killed).
+int RunMdsd(const std::vector<std::string>& args, double timeout_s = 10.0) {
+  const pid_t pid = ::fork();
+  if (pid < 0) return -2;
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(null_fd, STDERR_FILENO);
+    std::vector<const char*> argv = {D2TREE_MDSD_PATH};
+    for (const std::string& a : args) argv.push_back(a.c_str());
+    argv.push_back(nullptr);
+    ::execv(D2TREE_MDSD_PATH, const_cast<char**>(argv.data()));
+    std::_Exit(127);
+  }
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// A numeric flag is parsed whole and range-checked: a bad one exits 2
+// with the usage line instead of aborting, or serving some other role.
+TEST(MdsdFlags, MalformedNumbersExitWithUsage) {
+  if (std::string(D2TREE_MDSD_PATH).empty() ||
+      ::access(D2TREE_MDSD_PATH, X_OK) != 0)
+    GTEST_SKIP() << "mdsd binary not available";
+  const std::vector<std::vector<std::string>> bad = {
+      {"--mds-count", "-1"}, {"--id", "abc"}, {"--scale", "abc"}};
+  for (const auto& flag : bad) {
+    std::vector<std::string> args = {"--role", "mds", "--listen",
+                                     "127.0.0.1:0"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    EXPECT_EQ(RunMdsd(args), 2) << flag[0] << " " << flag[1];
+  }
+}
+
 /// Same 4-process cluster, but every MDS daemon persists its own store
-/// under a shared --data-dir (only its own role — bystander models stay
-/// in memory, so the daemons never cross-write).
+/// under a shared --data-dir, each in its own <dir>/mds<id>/, so the
+/// daemons never cross-write.
 class MdsdPersistence : public MdsdLifecycle {
  protected:
   MdsdPersistence() {

@@ -1,14 +1,20 @@
 // Tests for the shared server handlers (mds/service.h): the Monitor's
 // per-node lease lock and version counter, driven through Handle with a
-// fake clock, and the per-node version fence replicas apply commits
-// through.
+// fake clock, the per-node version fence replicas apply commits
+// through, and the one-server loader and audit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "d2tree/core/d2tree.h"
 #include "d2tree/durability/wal.h"
 #include "d2tree/mds/service.h"
 #include "d2tree/mds/store.h"
+#include "d2tree/net/transport.h"
+#include "d2tree/trace/profiles.h"
 
 namespace d2tree {
 namespace {
@@ -143,6 +149,111 @@ TEST(ReplicaFence, OnlyANewerVersionLands) {
   EXPECT_EQ(now.version, 6u);
   EXPECT_FALSE(replica.ApplyVersioned(kNode + 1, 9, 1, ""))
       << "a node the replica does not hold is not created";
+}
+
+// One server loaded the way an mdsd daemon loads itself: the loader gives
+// it the GL replica and its own shard, and the per-server audit rejects
+// each way the server could hold more or less than the placement says.
+class ServerAuditTest : public ::testing::Test {
+ protected:
+  static constexpr MdsId kSelf = 1;
+
+  ServerAuditTest()
+      : tree_(GenerateWorkload(LmbeProfile(0.05)).tree),
+        assignment_(
+            D2TreeScheme{}.Partition(tree_, MdsCluster::Homogeneous(3))),
+        server_(kSelf),
+        service_(server_, tree_, assignment_, transport_,
+                 [] { return std::vector<MdsId>{0, 2}; }) {
+    service_.LoadGlReplica();
+    service_.LoadShard();
+    for (NodeId id = 0; id < tree_.size(); ++id) {
+      const MdsId owner = assignment_.OwnerOf(id);
+      NodeId& pick = owner == kReplicated ? gl_node_
+                     : owner == kSelf     ? own_node_
+                                          : peer_node_;
+      if (pick == kInvalidNode) pick = id;
+    }
+  }
+
+  /// The audit's verdict, with its reason in `why_`.
+  bool Clean(const std::unordered_set<NodeId>& parked = {}) {
+    why_.clear();
+    return service_.Audit(parked, &why_);
+  }
+
+  NamespaceTree tree_;
+  Assignment assignment_;
+  InProcessTransport transport_;
+  MdsServer server_;
+  MdsService service_;
+  NodeId gl_node_ = kInvalidNode;
+  NodeId own_node_ = kInvalidNode;
+  NodeId peer_node_ = kInvalidNode;
+  std::string why_;
+};
+
+TEST_F(ServerAuditTest, LoadedServerHoldsExactlyItsShare) {
+  ASSERT_NE(gl_node_, kInvalidNode);
+  ASSERT_NE(own_node_, kInvalidNode);
+  ASSERT_NE(peer_node_, kInvalidNode);
+  EXPECT_TRUE(Clean()) << why_;
+  std::size_t owned = 0;
+  for (NodeId id = 0; id < tree_.size(); ++id)
+    owned += assignment_.OwnerOf(id) == kSelf;
+  EXPECT_EQ(server_.local().size(), owned);
+  // Loading again fills nothing: every record already agrees.
+  EXPECT_EQ(service_.LoadShard(), 0u);
+}
+
+TEST_F(ServerAuditTest, RejectsAMissingOwnRecord) {
+  const InodeRecord own = *server_.local().Remove(own_node_);
+  EXPECT_FALSE(Clean());
+  EXPECT_NE(why_.find("LL node missing"), std::string::npos) << why_;
+  server_.local().Put(own);
+  EXPECT_TRUE(Clean()) << why_;
+}
+
+TEST_F(ServerAuditTest, RejectsAPeersRecord) {
+  server_.local().Put(MakeRecord(tree_, peer_node_));
+  EXPECT_FALSE(Clean());
+  EXPECT_NE(why_.find("non-owner"), std::string::npos) << why_;
+  // The loader drops it again.
+  service_.LoadShard();
+  EXPECT_TRUE(Clean()) << why_;
+}
+
+TEST_F(ServerAuditTest, RejectsAGlNodeInTheLocalStore) {
+  server_.local().Put(MakeRecord(tree_, gl_node_));
+  EXPECT_FALSE(Clean());
+  EXPECT_NE(why_.find("GL node in local store"), std::string::npos) << why_;
+  server_.local().Remove(gl_node_);
+  EXPECT_TRUE(Clean()) << why_;
+}
+
+TEST_F(ServerAuditTest, RejectsAGlReplicaMissingANode) {
+  const InodeRecord gl = *server_.global_replica().Remove(gl_node_);
+  EXPECT_FALSE(Clean());
+  EXPECT_NE(why_.find("GL node missing"), std::string::npos) << why_;
+  server_.global_replica().Put(gl);
+  EXPECT_TRUE(Clean()) << why_;
+}
+
+TEST_F(ServerAuditTest, RejectsAnLlNodeInTheGlReplica) {
+  server_.global_replica().Put(MakeRecord(tree_, peer_node_));
+  EXPECT_FALSE(Clean());
+  EXPECT_NE(why_.find("LL node in GL replica"), std::string::npos) << why_;
+  service_.LoadGlReplica();
+  EXPECT_TRUE(Clean()) << why_;
+}
+
+// A parked node is mid-handoff: its owner must not hold it until the
+// re-issued pull lands.
+TEST_F(ServerAuditTest, ParkedNodeIsHeldByNobody) {
+  EXPECT_FALSE(Clean({own_node_}));
+  server_.local().Remove(own_node_);
+  EXPECT_TRUE(Clean({own_node_})) << why_;
+  EXPECT_FALSE(Clean()) << "unparked, the owner must hold it again";
 }
 
 }  // namespace

@@ -32,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "d2tree/mds/cluster.h"
+#include "d2tree/core/d2tree.h"
 #include "d2tree/metrics/metrics.h"
 #include "d2tree/net/endpoint.h"
 #include "d2tree/net/socket_transport.h"
@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
   profile.seed = flags.seed;
   const Workload workload = GenerateWorkload(profile);
   // The same partition the daemons computed — used only for routing.
-  FunctionalCluster model(workload.tree, flags.mds_count);
-  const Assignment assignment = model.assignment();
+  const Assignment assignment = D2TreeScheme{}.Partition(
+      workload.tree, MdsCluster::Homogeneous(flags.mds_count));
 
   auto transport = std::make_shared<SocketTransport>();
   const auto specs = ParsePeerList(flags.peers);

@@ -1,58 +1,56 @@
 // mdsd — one metadata-service role as a real process.
 //
-// Each daemon hosts exactly one role (one MDS, or the Monitor) behind a
-// SocketTransport listener. All daemons of a cluster are started with the
-// same --profile/--scale/--seed/--mds-count flags, so each deterministically
-// regenerates the identical namespace and D2-Tree partition (the same way
-// every MDS in the paper's system shares the global layer and the local
-// index): routing decisions agree across processes without any placement
-// exchange at boot.
+// Each daemon hosts exactly one role behind a SocketTransport listener and
+// holds only what the paper gives that role (Sec. III, IV-B):
+//   * The Monitor holds the GL lock table and version counter, and no
+//     namespace.
+//   * An MDS regenerates the namespace tree from --profile/--scale/--seed
+//     (its popularity drives the partition), partitions it over
+//     --mds-count servers, and loads one server: the GL replica and its
+//     own local-layer shard. Every MDS gets the same flags, so routing
+//     agrees across processes with no placement exchange at boot.
 //
 //   mdsd --role mds --id 0 --listen 127.0.0.1:7100
 //        --peers mds0=127.0.0.1:7100,mds1=127.0.0.1:7101,monitor=127.0.0.1:7190
 //        --mds-count 3 --profile lmbe --scale 0.05 --seed 1
 //
-// Serving: the daemon binds the library handlers of mds/service.h — the
-// same MdsService / MonitorService the in-process cluster runs under its
-// fault and crash suites — to its socket, so it holds no protocol of its
-// own:
+// The daemon has no protocol of its own: it binds the MdsService or
+// MonitorService of mds/service.h, the handlers the in-process cluster
+// runs under its fault and crash suites, and loads and audits its server
+// with the same MdsService calls the cluster makes for each of its own.
 //   * An MDS answers kWrongServer with `peer` naming the owner for another
-//     server's local-layer subtree — the client pays the redirect as a
+//     server's local-layer subtree: the client pays the redirect as a
 //     real second RPC (the paper's 1-jump).
-//   * A global-layer update is the locked, versioned round: a per-node
-//     lease lock from the Monitor (which assigns the version), the write
-//     applied here and fanned out to every peer MDS in one concurrent
-//     kGlCommit round, the release posted to the Monitor after the acks,
-//     then the client answered. A replica applies a commit only when its
-//     version is newer than the node's stored one. The Monitor's requests
-//     and a replica's commits are answered on the event loop, never
-//     queued for a worker, so a round never waits on a busy peer.
+//   * A global-layer update is the locked, versioned round of DESIGN.md
+//     §6, its commits fanned out to the peer MDS daemons. The Monitor's
+//     requests and a replica's commits are answered on the event loop,
+//     never queued for a worker, so a round never waits on a busy peer.
 //   * Daemons never run adjustment rounds: each process only observes its
 //     own traffic, so re-planning locally would diverge the placements.
-//     The other servers of the local cluster model are marked dead: they
-//     live in other processes, and the shutdown audit covers this one.
 //
-// With --data-dir <dir> an MDS daemon keeps its local store in the
-// embedded LSM engine under <dir>/mds<id>/ instead of RAM: a SIGKILLed
-// daemon restarted on the same directory replays its engine WAL and
-// resumes from the durable namespace — mutations (mtimes, versions,
-// renames) survive where a memory daemon would silently regenerate the
-// pristine tree. Only this daemon's own role persists.
+// With --data-dir <dir> an MDS keeps its local store in the embedded LSM
+// engine under <dir>/mds<id>/ instead of RAM: restarted on the same
+// directory after a SIGKILL, it replays its engine WAL and resumes from
+// the durable namespace, mutations included.
 //
 // After Bind succeeds the daemon prints "MDSD LISTENING <port>" on stdout
 // (port 0 in --listen auto-assigns); tests parse that line. SIGTERM/SIGINT
-// drains the transport, audits the local model with CheckConsistency, and
-// prints a one-line JSON stats summary; exit 0 iff the audit is clean.
+// drains the transport, audits an MDS's server (the Monitor holds no
+// records), and prints a one-line JSON stats summary; exit 0 iff the
+// audit is clean. A malformed or out-of-range flag exits 2 with usage.
+#include <charconv>
+#include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "d2tree/mds/cluster.h"
+#include "d2tree/core/d2tree.h"
 #include "d2tree/mds/service.h"
 #include "d2tree/net/endpoint.h"
 #include "d2tree/net/socket_transport.h"
@@ -61,6 +59,10 @@
 using namespace d2tree;
 
 namespace {
+
+/// --mds-count must stay under this: the partition and the peer list are
+/// sized by it, so an absurd count is refused rather than attempted.
+constexpr std::size_t kMaxMdsCount = 1024;
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
@@ -77,13 +79,24 @@ struct Flags {
   std::string data_dir;  // "" = volatile in-memory store
 };
 
-TraceProfile ProfileByName(const std::string& name, double scale) {
-  if (name == "dtr") return DtrProfile(scale);
-  if (name == "ra") return RaProfile(scale);
-  return LmbeProfile(scale);
+TraceProfile ProfileOf(const Flags& f) {
+  TraceProfile profile = f.profile == "dtr" ? DtrProfile(f.scale)
+                         : f.profile == "ra" ? RaProfile(f.scale)
+                                             : LmbeProfile(f.scale);
+  profile.seed = f.seed;
+  return profile;
+}
+
+/// Parses all of `text` as one number (no junk, no overflow).
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && stop == end && end != text;
 }
 
 bool ParseFlags(int argc, char** argv, Flags* f) {
+  bool numbers_ok = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
@@ -93,28 +106,61 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     if (arg == "--role" && (v = value()))
       f->role = v;
     else if (arg == "--id" && (v = value()))
-      f->id = static_cast<MdsId>(std::atoi(v));
+      numbers_ok &= ParseNumber(v, &f->id);
     else if (arg == "--listen" && (v = value()))
       f->listen = v;
     else if (arg == "--peers" && (v = value()))
       f->peers = v;
     else if (arg == "--mds-count" && (v = value()))
-      f->mds_count = static_cast<std::size_t>(std::atoll(v));
+      numbers_ok &= ParseNumber(v, &f->mds_count);
     else if (arg == "--profile" && (v = value()))
       f->profile = v;
     else if (arg == "--scale" && (v = value()))
-      f->scale = std::atof(v);
+      numbers_ok &= ParseNumber(v, &f->scale);
     else if (arg == "--seed" && (v = value()))
-      f->seed = static_cast<std::uint64_t>(std::atoll(v));
+      numbers_ok &= ParseNumber(v, &f->seed);
     else if (arg == "--data-dir" && (v = value()))
       f->data_dir = v;
     else
       return false;
   }
-  return (f->role == "mds" || f->role == "monitor") && f->mds_count > 0 &&
-         (f->role != "mds" ||
-          (f->id >= 0 && static_cast<std::size_t>(f->id) < f->mds_count));
+  return numbers_ok && (f->role == "mds" || f->role == "monitor") &&
+         f->mds_count >= 1 && f->mds_count < kMaxMdsCount && f->id >= 0 &&
+         static_cast<std::size_t>(f->id) < f->mds_count &&
+         std::isfinite(f->scale) && f->scale > 0.0;
 }
+
+/// An MDS daemon's state: the namespace tree, the partition, and one
+/// server loaded with the GL replica and its own local-layer shard.
+struct MdsRole {
+  MdsRole(const Flags& flags, Transport& transport)
+      : tree(GenerateWorkload(ProfileOf(flags)).tree),
+        assignment(D2TreeScheme{}.Partition(
+            tree, MdsCluster::Homogeneous(flags.mds_count))),
+        // --data-dir puts the local store on the LSM engine, under
+        // <dir>/mds<id>/ so daemons sharing the directory never collide.
+        server(flags.id,
+               flags.data_dir.empty()
+                   ? StoreSpec{}
+                   : StoreSpec{StoreSpec::Backend::kLsm,
+                               flags.data_dir + "/mds" +
+                                   std::to_string(flags.id)}),
+        service(server, tree, assignment, transport,
+                [n = static_cast<MdsId>(flags.mds_count), self = flags.id] {
+                  std::vector<MdsId> peers;
+                  for (MdsId p = 0; p < n; ++p)
+                    if (p != self) peers.push_back(p);
+                  return peers;
+                }) {
+    service.LoadGlReplica();
+    service.LoadShard();
+  }
+
+  NamespaceTree tree;
+  Assignment assignment;
+  MdsServer server;
+  MdsService service;
+};
 
 }  // namespace
 
@@ -128,25 +174,8 @@ int main(int argc, char** argv) {
                  "[--data-dir DIR]\n");
     return 2;
   }
-  const Address self = flags.role == "monitor" ? MonitorAddress()
-                                               : MdsAddress(flags.id);
-
-  // Identical flags → identical namespace, partition and local index in
-  // every daemon of the cluster.
-  TraceProfile profile = ProfileByName(flags.profile, flags.scale);
-  profile.seed = flags.seed;
-  const Workload workload = GenerateWorkload(profile);
-  // --data-dir puts this daemon's own role on the durable LSM engine;
-  // only_mds keeps the other servers of the local model off the
-  // directory, so N daemons sharing it never cross-write.
-  StoreSpec store;
-  if (!flags.data_dir.empty() && flags.role == "mds") {
-    store.backend = StoreSpec::Backend::kLsm;
-    store.data_dir = flags.data_dir;
-    store.only_mds = flags.id;
-  }
-  FunctionalCluster cluster(workload.tree, flags.mds_count, {}, nullptr,
-                            store);
+  const bool is_monitor = flags.role == "monitor";
+  const Address self = is_monitor ? MonitorAddress() : MdsAddress(flags.id);
 
   auto transport = std::make_shared<SocketTransport>();
   if (!flags.peers.empty()) {
@@ -169,20 +198,16 @@ int main(int argc, char** argv) {
   }
 
   // The Monitor serves the GL lock table and version counter; an MDS
-  // serves its own shard and GL replica, the other daemons being its GL
-  // peers. Those peers are dead in the local model: they live elsewhere.
-  const bool is_monitor = flags.role == "monitor";
-  MonitorService monitor;
-  std::vector<MdsId> peers;
-  for (MdsId p = 0; p < static_cast<MdsId>(flags.mds_count); ++p)
-    if (p != flags.id) peers.push_back(p);
-  if (!is_monitor)
-    for (const MdsId peer : peers) (void)cluster.KillServer(peer);
-  MdsServer& service_server = cluster.server(flags.id);
-  MdsService service(service_server, workload.tree, cluster.assignment(),
-                     *transport, [&] { return peers; });
+  // serves its own shard and GL replica, the other MDS daemons being its
+  // GL peers.
+  std::optional<MonitorService> monitor;
+  std::optional<MdsRole> mds;
+  if (is_monitor)
+    monitor.emplace();
+  else
+    mds.emplace(flags, *transport);
   Transport::Handler handler = [&](const Address& from, const Message& req) {
-    return is_monitor ? monitor.Handle(from, req) : service.Handle(from, req);
+    return mds ? mds->service.Handle(from, req) : monitor->Handle(from, req);
   };
   // The Monitor and a replica's kGlCommit never wait on another call, so
   // the loop answers them: a GL round then waits on no peer's worker, and
@@ -212,12 +237,13 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   // Clean SIGTERM drain: stop accepting, let the workers finish, then
-  // audit the local model before reporting.
+  // audit this server before reporting. The Monitor holds no records.
   transport->Shutdown(/*drain=*/true);
   std::string audit_error;
-  const bool consistent = cluster.CheckConsistency(&audit_error);
-  const MetadataStore& local = cluster.server(flags.id).local();
-  const StoreEngineStats store_stats = local.EngineStats();
+  const bool consistent = !mds || mds->service.Audit({}, &audit_error);
+  const MetadataStore* local = mds ? &mds->server.local() : nullptr;
+  const StoreEngineStats store_stats = local ? local->EngineStats()
+                                             : StoreEngineStats{};
   std::printf(
       "{\"role\": \"%s\", \"id\": %d, \"handled\": %llu, "
       "\"dedup_hits\": %llu, \"corrupt_frames\": %llu, "
@@ -230,9 +256,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(transport->dedup_hits()),
       static_cast<unsigned long long>(transport->corrupt_frames()),
       static_cast<unsigned long long>(transport->busy_rejections()),
-      static_cast<unsigned long long>(is_monitor ? monitor.version()
-                                                 : service_server.gl_version()),
-      local.engine_name(), local.size(),
+      static_cast<unsigned long long>(mds ? mds->server.gl_version()
+                                          : monitor->version()),
+      local ? local->engine_name() : "none", local ? local->size() : 0,
       static_cast<unsigned long long>(store_stats.tables),
       static_cast<unsigned long long>(store_stats.wal_group_commits),
       consistent ? "true" : "false");
